@@ -15,10 +15,9 @@ import argparse
 from pathlib import Path
 
 from evidential import formats
-from evidential.belief import Frame
-from evidential.errors import CaseSetMismatchError
 from evidential.evaluate import compare_methods, evaluate_set
-from evidential.extract import build_frequency_table, extract_bpas
+from evidential.extract import METHODS, extract_bpas
+from evidential.pipeline import frequency
 from evidential.synth import SynthConfig, generate_cases
 
 
@@ -48,22 +47,21 @@ def main():
     cases, intervals = generate_cases(config)
     split = config.cases - args.holdout
     train, test = cases[:split], cases[split:]
-    frame = Frame(tuple(sorted({c.outcome for c in cases})))
     print(
         f"{config.outcomes} outcomes, {config.params} parameters, "
         f"{len(train)} train / {len(test)} test cases, "
         f"seed {config.seed}, separation {config.separation}"
     )
 
-    table = build_frequency_table(train, intervals, frame)
+    table = frequency(train, intervals)
     reports = []
-    for method in ("1", "2a", "2b", "3"):
+    for method in METHODS:
         bpa = extract_bpas(table, method)
         report = evaluate_set(test, bpa, intervals)
         reports.append(report)
         if report.errors:
             print(f"  method {method}: {len(report.errors)} case(s) excluded "
-                  f"(no evidence or total conflict)")
+                  f"(no evidence, total conflict, unknown label or non-finite value)")
 
     print()
     print(formats.format_report_table(reports))
@@ -72,14 +70,10 @@ def main():
     for i in range(len(reports)):
         for j in range(i + 1, len(reports)):
             a, b = reports[i], reports[j]
-            try:
-                shared = {t.case_id for t in a.traces} & {t.case_id for t in b.traces}
-                cats_a = {t.case_id: t.category for t in a.traces if t.case_id in shared}
-                cats_b = {t.case_id: t.category for t in b.traces if t.case_id in shared}
-                paired = {cid: (cats_a[cid], cats_b[cid]) for cid in shared}
-                verdict = compare_methods(a, b, paired=paired)
-            except CaseSetMismatchError:
-                continue
+            cats_b = {t.case_id: t.category for t in b.traces}
+            paired = {t.case_id: (t.category, cats_b[t.case_id])
+                      for t in a.traces if t.case_id in cats_b}
+            verdict = compare_methods(a, b, paired=paired)
             tag = "degenerate" if verdict.degenerate else (
                 "significant" if verdict.significant else "not significant"
             )

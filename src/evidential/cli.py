@@ -9,11 +9,11 @@ from __future__ import annotations
 import argparse
 import csv
 import sys
+from dataclasses import fields
 from pathlib import Path
 
 from . import formats
-from .belief import Frame
-from .correlate import Group, build_graph, pearson_matrix, prune_components
+from .correlate import Group
 from .errors import (
     DataFormatError,
     EvidenceError,
@@ -21,18 +21,16 @@ from .errors import (
     PipelineError,
     TotalConflictError,
 )
-from .evaluate import compare_methods, diagnose_case, evaluate_set
-from .expert import all_modify, part_modify
-from .extract import M3_DEFAULT_VARIANT, M3_NORMS, M3_THETAS, build_frequency_table, extract_bpas
-from .pipeline import PipelineConfig, run_pipeline
-from .synth import SynthConfig, generate_cases
+from .evaluate import CASE_ERRORS, compare_methods, diagnose_case
+from .extract import M3_DEFAULT_VARIANT, M3_VARIANTS, METHODS
+from .pipeline import EXPERT_MODES, MODIFY_MODES, PipelineConfig, run_pipeline
+from .pipeline import evaluate, extract, frequency, modify, prune
+from .synth import SynthConfig, generate_cases, parameter_names
 
 EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_DATA = 2
 EXIT_PIPELINE = 3
-
-M3_VARIANTS = tuple(f"{norm}-{theta}" for norm in M3_NORMS for theta in M3_THETAS)
 
 
 class _Parser(argparse.ArgumentParser):
@@ -61,7 +59,7 @@ def build_parser() -> _Parser:
     p = sub.add_parser("extract", help="learn BPAs from a cases file")
     p.add_argument("--cases", required=True)
     p.add_argument("--intervals", required=True)
-    p.add_argument("--method", required=True, choices=["1", "2a", "2b", "3"])
+    p.add_argument("--method", required=True, choices=METHODS)
     p.add_argument("--m3-variant", choices=M3_VARIANTS, default=M3_DEFAULT_VARIANT)
     p.add_argument("--min-support", type=int, default=1)
     p.add_argument("--out", required=True)
@@ -70,7 +68,7 @@ def build_parser() -> _Parser:
     p = sub.add_parser("modify", help="overlay expert BPAs onto generated ones")
     p.add_argument("--bpa", required=True)
     p.add_argument("--expert", required=True)
-    p.add_argument("--mode", required=True, choices=["part", "all"])
+    p.add_argument("--mode", required=True, choices=MODIFY_MODES)
     p.add_argument("--out", required=True)
     p.set_defaults(handler=cmd_modify)
 
@@ -111,10 +109,10 @@ def build_parser() -> _Parser:
     p.add_argument("--train", required=True)
     p.add_argument("--test", required=True)
     p.add_argument("--intervals", required=True)
-    p.add_argument("--method", default="2a", choices=["1", "2a", "2b", "3"])
+    p.add_argument("--method", default="2a", choices=METHODS)
     p.add_argument("--m3-variant", choices=M3_VARIANTS, default=M3_DEFAULT_VARIANT)
     p.add_argument("--expert", default=None)
-    p.add_argument("--expert-mode", default="none", choices=["none", "part", "all"])
+    p.add_argument("--expert-mode", default="none", choices=EXPERT_MODES)
     p.add_argument("--drop-params", default=None, help="text file of parameters to drop")
     p.add_argument("--auto-prune", action="store_true")
     p.add_argument("--threshold", type=float, default=0.5)
@@ -147,15 +145,6 @@ def main(argv=None) -> int:
         return EXIT_DATA
 
 
-def _frame_from_cases(cases) -> Frame:
-    return Frame(tuple(sorted({case.outcome for case in cases})))
-
-
-def _split_variant(variant: str) -> tuple[str, str]:
-    norm, theta = variant.split("-")
-    return norm, theta
-
-
 def cmd_synth(args) -> int:
     config = SynthConfig(
         outcomes=args.outcomes,
@@ -170,7 +159,7 @@ def cmd_synth(args) -> int:
     cases, intervals = generate_cases(config)
     out = Path(args.out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    params = [f"P{i:02d}" for i in range(1, config.params + 1)]
+    params = parameter_names(config.params)
     formats.write_case_table(cases, out / "cases.csv", params)
     formats.write_intervals(intervals, out / "intervals.csv")
     formats.dump_json(
@@ -198,13 +187,8 @@ def cmd_synth(args) -> int:
 def cmd_extract(args) -> int:
     cases = formats.parse_cases(args.cases)
     intervals = formats.parse_intervals(args.intervals)
-    frame = _frame_from_cases(cases)
-    table = build_frequency_table(cases, intervals, frame)
-    norm, theta = _split_variant(args.m3_variant)
-    bpa = extract_bpas(
-        table, args.method, m3_norm=norm, m3_theta=theta, min_support=args.min_support
-    )
-    formats.write_bpa_set(bpa, args.out)
+    table = frequency(cases, intervals)
+    bpa = extract(table, args.method, args.m3_variant, args.min_support, args.out)
     print(f"extracted {len(bpa.entries)} evidence items ({bpa.label()}) to {args.out}")
     return EXIT_OK
 
@@ -212,20 +196,16 @@ def cmd_extract(args) -> int:
 def cmd_modify(args) -> int:
     bpa = formats.read_bpa_set(args.bpa)
     expert = formats.read_bpa_set(args.expert)
-    modified = part_modify(bpa, expert) if args.mode == "part" else all_modify(bpa, expert)
-    formats.write_bpa_set(modified, args.out)
+    modified = modify(bpa, expert, args.mode, args.out)
     print(f"wrote {modified.label()} ({len(modified.entries)} items) to {args.out}")
     return EXIT_OK
 
 
 def cmd_prune(args) -> int:
     params, cases = formats.parse_case_table(args.cases)
-    matrix = pearson_matrix(cases, params, args.min_pairs)
-    graph = build_graph(matrix, args.threshold, Group(args.group))
-    result = prune_components(graph)
-    formats.write_prune_report(graph, result, args.out)
     removal_out = args.removal_out or f"{args.out}.params.txt"
-    formats.write_removal_list(result, removal_out)
+    graph, result = prune(params, cases, args.threshold, args.min_pairs, Group(args.group),
+                          args.out, removal_out)
     print(
         f"{len(graph.edges)} edge(s) at |r| >= {args.threshold}: "
         f"keep {len(result.kept)}, remove {sorted(result.removed)}"
@@ -244,7 +224,7 @@ def cmd_diagnose(args) -> int:
     for case in cases:
         try:
             result = diagnose_case(case, bpa, intervals, drop)
-        except (NoEvidenceError, TotalConflictError) as exc:
+        except CASE_ERRORS as exc:
             failures.append((case.case_id, str(exc)))
             continue
         diagnosed += 1
@@ -270,8 +250,7 @@ def cmd_evaluate(args) -> int:
     cases = formats.parse_cases(args.test)
     intervals = formats.parse_intervals(args.intervals)
     drop = formats.read_drop_params(args.drop_params) if args.drop_params else frozenset()
-    report = evaluate_set(cases, bpa, intervals, drop)
-    formats.write_report(report, args.out)
+    report = evaluate(cases, bpa, intervals, drop, args.out)
     print(formats.format_report_table([report]))
     return EXIT_OK
 
@@ -310,24 +289,8 @@ def cmd_compare(args) -> int:
 
 
 def cmd_pipeline(args) -> int:
-    norm, theta = _split_variant(args.m3_variant)
-    if args.auto_prune and args.drop_params:
-        raise DataFormatError("give either --auto-prune or --drop-params, not both")
-    drop_source = "auto" if args.auto_prune else ("file" if args.drop_params else "none")
-    config = PipelineConfig(
-        method=args.method,
-        m3_norm=norm,
-        m3_theta=theta,
-        expert_mode=args.expert_mode,
-        drop_source=drop_source,
-        drop_params_path=args.drop_params,
-        threshold=args.threshold,
-        min_pairs=args.min_pairs,
-        min_support=args.min_support,
-    )
-    report = run_pipeline(
-        config, args.train, args.test, args.intervals, args.expert, args.out_dir
-    )
+    config = PipelineConfig(**{f.name: getattr(args, f.name) for f in fields(PipelineConfig)})
+    report = run_pipeline(config, args.train, args.test, args.intervals, args.expert, args.out_dir)
     print(formats.format_report_table([report]))
     print(f"artifacts in {args.out_dir}")
     return EXIT_OK

@@ -11,7 +11,7 @@ from typing import Iterable, Mapping, Sequence
 
 from .belief import BeliefInterval, Frame, Mask, MassFunction
 from .combine import combine_all
-from .errors import CaseSetMismatchError, NoEvidenceError, TotalConflictError
+from .errors import CaseSetMismatchError, EvidenceError, NoEvidenceError, TotalConflictError
 from .expert import is_vacuous
 from .extract import BpaSet
 from .records import CaseRecord, EvidenceItemId, ReferenceIntervals
@@ -24,6 +24,10 @@ class MatchCategory(str, Enum):
 
 
 CATEGORIES = (MatchCategory.PM, MatchCategory.IM, MatchCategory.NM)
+
+# What one bad case can raise: a domain error, or the ValueError of an outcome
+# label outside the frame or a non-finite value. It is reported, never fatal.
+CASE_ERRORS = (EvidenceError, ValueError)
 
 
 @dataclass(frozen=True)
@@ -169,10 +173,10 @@ def evaluate_set(
     for case in test_cases:
         try:
             result = diagnose_case(case, bpa, intervals, drop_params)
-        except (NoEvidenceError, TotalConflictError) as exc:
+            category = classify_match(result.observed, case.outcome, bpa.frame)
+        except CASE_ERRORS as exc:
             errors.append((case.case_id, str(exc)))
             continue
-        category = classify_match(result.observed, case.outcome, bpa.frame)
         counts[category] += 1
         traces.append(
             CaseTrace(

@@ -28,14 +28,16 @@ import numpy as np
 
 from . import lattice
 from .belief import Frame, Mask, MassFunction
+from .combine import DENSE_MAX_OUTCOMES
 from .errors import DataFormatError, FrameMismatchError
 from .records import CaseRecord, EvidenceItemId, ReferenceIntervals, Region
 
 METHODS = ("1", "2a", "2b", "3")
 M3_NORMS = ("global", "size")
 M3_THETAS = ("one", "zero")
+# method-3 variant name, such as "size-zero", -> its (norm, theta) pair
+M3_VARIANTS = {f"{norm}-{theta}": (norm, theta) for norm in M3_NORMS for theta in M3_THETAS}
 M3_DEFAULT_VARIANT = "global-one"
-_M3_MAX_OUTCOMES = 20
 
 
 @dataclass(frozen=True)
@@ -195,8 +197,8 @@ def method3(frame: Frame, freq: Sequence[float], norm: str = "global", theta: st
     if theta not in M3_THETAS:
         raise ValueError(f"theta must be one of {M3_THETAS}, got {theta!r}")
     n = frame.n
-    if n > _M3_MAX_OUTCOMES:
-        raise ValueError(f"dense subset scoring supports at most {_M3_MAX_OUTCOMES} outcomes, got {n}")
+    if n > DENSE_MAX_OUTCOMES:
+        raise ValueError(f"dense subset scoring supports at most {DENSE_MAX_OUTCOMES} outcomes, got {n}")
     values = _proportions(freq, n)
     size = 1 << n
     raw = np.zeros(size)

@@ -12,12 +12,11 @@ import warnings
 from pathlib import Path
 from typing import Sequence
 
-from .belief import BeliefInterval
+from .belief import BeliefInterval, Frame
 from .correlate import CorrelationGraph, PruneResult
 from .errors import DataFormatError
 from .evaluate import CATEGORIES, CaseTrace, EvaluationReport, MatchCategory
 from .extract import BpaSet, FrequencyEntry, FrequencyTable
-from .belief import Frame
 from .records import CaseRecord, EvidenceItemId, ReferenceIntervals, Region
 
 

@@ -61,9 +61,6 @@ class ReferenceIntervals:
     def __contains__(self, param: str) -> bool:
         return param in self.bounds
 
-    def get(self, param: str) -> tuple[float, float] | None:
-        return self.bounds.get(param)
-
     def parameters(self) -> tuple[str, ...]:
         return tuple(self.bounds)
 

@@ -226,6 +226,15 @@ class TestExitCodes:
             "--method", "1", "--out", str(tmp_path / "o.json"),
         ) == 2
 
+    def test_data_error_auto_prune_with_drop_params(self, dataset, tmp_path):
+        assert run(
+            "pipeline", "--train", str(dataset / "train.csv"), "--test", str(dataset / "test.csv"),
+            "--intervals", str(dataset / "intervals.csv"), "--auto-prune",
+            "--drop-params", str(tmp_path / "drop.txt"), "--out-dir", str(tmp_path / "o"),
+        ) == 2
+        with pytest.raises(ValueError, match="not both"):
+            PipelineConfig(auto_prune=True, drop_params="drop.txt")
+
     def test_pipeline_error_total_conflict(self, tmp_path):
         frame = ["a", "b"]
         doc = {
@@ -298,3 +307,119 @@ class TestPipeline:
         assert code == 0
         assert (out_dir / "prune_report.json").exists()
         assert (out_dir / "dropped_params.txt").exists()
+
+
+def _expert_table(train_csv, path):
+    """An expert opinion on two parameters, over the training cases' labels."""
+    labels = sorted({case.outcome for case in formats.parse_cases(train_csv)})
+    items = [
+        {"parameter": param, "class": region,
+         "focal": [{"subset": [labels[0]], "mass": 0.6}, {"subset": labels, "mass": 0.4}]}
+        for param in ("P01", "P02") for region in ("below", "above")
+    ]
+    path.write_text(json.dumps({"method": "expert", "frame": labels, "items": items}))
+    return path
+
+
+def _with_extra_rows(test_csv, path, extra):
+    """Copy of test_csv plus rows cloned from its first data rows: each extra
+    entry is (case_id, outcome, value of the first parameter or None to keep)."""
+    lines = test_csv.read_text().splitlines()
+    rows = []
+    for (case_id, outcome, first), source in zip(extra, lines[1:]):
+        cells = source.split(",")
+        cells[:2] = [case_id, outcome]
+        if first is not None:
+            cells[2] = first
+        rows.append(",".join(cells))
+    path.write_text("\n".join(lines + rows) + "\n")
+    return path
+
+
+# (extract flags, expert mode or None, auto-prune, a test case with a label
+# absent from training)
+STAGE_CONFIGS = {
+    "2b-expert-part-auto-prune": (["--method", "2b"], "part", True, False),
+    "3-size-zero-expert-all": (["--method", "3", "--m3-variant", "size-zero"], "all", False, False),
+    "unseen-test-label": (["--method", "2a"], None, False, True),
+}
+
+
+class TestStageByStage:
+    @pytest.mark.parametrize("name", sorted(STAGE_CONFIGS))
+    def test_cli_stages_match_pipeline_byte_for_byte(self, dataset, tmp_path, capsys, name):
+        extract_flags, mode, auto_prune, unseen = STAGE_CONFIGS[name]
+        train, intervals = str(dataset / "train.csv"), str(dataset / "intervals.csv")
+        test = dataset / "test.csv"
+        if unseen:
+            test = _with_extra_rows(test, tmp_path / "test.csv", [("u1", "zz", None)])
+        expert = str(_expert_table(dataset / "train.csv", tmp_path / "expert.json"))
+        pipe, stages = tmp_path / "pipeline", tmp_path / "stages"
+        stages.mkdir()
+
+        argv = ["pipeline", "--train", train, "--test", str(test), "--intervals", intervals,
+                *extract_flags, "--out-dir", str(pipe)]
+        if mode:
+            argv += ["--expert", expert, "--expert-mode", mode]
+        if auto_prune:
+            argv += ["--auto-prune"]
+        assert run(*argv) == 0
+
+        bpa = str(stages / "bpa.json")
+        assert run("extract", "--cases", train, "--intervals", intervals, *extract_flags,
+                   "--out", bpa) == 0
+        if mode:
+            assert run("modify", "--bpa", bpa, "--expert", expert, "--mode", mode,
+                       "--out", str(stages / "bpa_modified.json")) == 0
+            bpa = str(stages / "bpa_modified.json")
+        drop = []
+        if auto_prune:
+            assert run("prune", "--cases", train, "--group", "biochem",
+                       "--out", str(stages / "prune_report.json"),
+                       "--removal-out", str(stages / "dropped_params.txt")) == 0
+            drop = ["--drop-params", str(stages / "dropped_params.txt")]
+        capsys.readouterr()
+        assert run("evaluate", "--bpa", bpa, "--test", str(test), "--intervals", intervals,
+                   *drop, "--out", str(stages / "report.json")) == 0
+        printed = capsys.readouterr().out
+
+        staged = sorted(p.name for p in stages.iterdir())
+        assert staged == sorted(
+            p.name for p in pipe.iterdir() if p.name not in ("frequency_table.json", "report.txt")
+        )
+        for artifact in staged:
+            assert (stages / artifact).read_bytes() == (pipe / artifact).read_bytes(), artifact
+        assert printed == (pipe / "report.txt").read_text()
+
+
+class TestBadCases:
+    def test_unseen_label_and_nan_are_per_case_errors(self, dataset, tmp_path, capsys):
+        intervals = str(dataset / "intervals.csv")
+        clean = dataset / "test.csv"
+        bad = _with_extra_rows(
+            clean, tmp_path / "bad.csv", [("u1", "zz", None), ("n1", "g01", "nan")]
+        )
+        pipe = tmp_path / "pipe"
+        assert run("pipeline", "--train", str(dataset / "train.csv"), "--test", str(bad),
+                   "--intervals", intervals, "--method", "2b", "--out-dir", str(pipe)) == 0
+        bpa = str(pipe / "bpa.json")
+        reports = {}
+        for name, test in (("clean", clean), ("bad", bad)):
+            reports[name] = tmp_path / f"{name}.json"
+            assert run("evaluate", "--bpa", bpa, "--test", str(test), "--intervals", intervals,
+                       "--out", str(reports[name])) == 0
+        assert (pipe / "report.json").read_bytes() == reports["bad"].read_bytes()
+
+        clean_doc = json.loads(reports["clean"].read_text())
+        bad_doc = json.loads(reports["bad"].read_text())
+        assert bad_doc["traces"] == clean_doc["traces"]
+        assert bad_doc["errors"][: len(clean_doc["errors"])] == clean_doc["errors"]
+        extra = dict(bad_doc["errors"][len(clean_doc["errors"]):])
+        assert sorted(extra) == ["n1", "u1"]
+        assert "zz" in extra["u1"] and "nan" in extra["n1"]
+
+        capsys.readouterr()
+        assert run("diagnose", "--bpa", bpa, "--case", str(bad), "--intervals", intervals) == 0
+        err = capsys.readouterr().err
+        assert "case u1: FAILED" not in err  # diagnosis needs no ground truth
+        assert "case n1: FAILED" in err
