@@ -18,6 +18,7 @@ from typing import Iterable, Iterator, Mapping
 
 import numpy as np
 
+from . import lattice
 from .errors import (
     EmptySetMassError,
     FrameMismatchError,
@@ -149,7 +150,7 @@ class MassFunction:
     across threads.
     """
 
-    __slots__ = ("frame", "_focal", "_dense")
+    __slots__ = ("frame", "_focal", "_q")
 
     def __init__(self, frame: Frame, masses: Mapping[Mask, float]):
         focal: dict[Mask, float] = {}
@@ -170,7 +171,7 @@ class MassFunction:
             focal = {mask: value / total for mask, value in focal.items()}
         self.frame = frame
         self._focal = focal
-        self._dense: np.ndarray | None = None
+        self._q: np.ndarray | None = None
 
     @classmethod
     def vacuous(cls, frame: Frame) -> "MassFunction":
@@ -242,15 +243,30 @@ class MassFunction:
         foci = sorted(self._focal, key=lambda m: m.bit_count())
         return all(a & b == a for a, b in zip(foci, foci[1:]))
 
-    def dense_masses(self) -> np.ndarray:
-        """Mass vector over the whole subset lattice (cached, read-only)."""
-        if self._dense is None:
-            arr = np.zeros(1 << self.frame.n)
+    def commonality_vector(self) -> np.ndarray:
+        """Commonality of every subset, indexed by mask (cached, read-only).
+
+        Filled on first use by one superset-sum transform of the mass vector
+        and kept for the instance's lifetime: 8 * 2^n bytes. Two threads
+        racing on the first call both store equal arrays, so sharing an
+        instance stays safe. Raises ValueError, before allocating anything,
+        for frames past lattice.DENSE_MAX_OUTCOMES.
+        """
+        q = self._q
+        if q is None:
+            n = self.frame.n
+            if n > lattice.DENSE_MAX_OUTCOMES:
+                raise ValueError(
+                    f"dense commonality vectors support at most "
+                    f"{lattice.DENSE_MAX_OUTCOMES} outcomes, got {n}"
+                )
+            q = np.zeros(1 << n)
             for mask, value in self._focal.items():
-                arr[mask] = value
-            arr.setflags(write=False)
-            self._dense = arr
-        return self._dense
+                q[mask] = value
+            lattice.superset_sum(q, n)
+            q.setflags(write=False)
+            self._q = q
+        return q
 
     def to_dict(self) -> dict:
         """JSON document with subsets as label lists, portable across reorderings."""

@@ -1,11 +1,13 @@
 """Combining independent evidence with Dempster's rule.
 
 Two equivalent paths are provided. The sparse path intersects focal pairs
-directly and is right whenever focal sets stay small. The dense path converts
-each operand to its commonality vector over the whole subset lattice,
-multiplies pointwise, and inverts the product back to masses; it costs
-O(n * 2^n) per operand regardless of focal count, which wins once operands
-carry many foci (dense all-subsets assignments in particular).
+directly and is right whenever focal sets stay small. The dense path
+multiplies the operands' commonality vectors over the whole subset lattice
+pointwise and inverts the product back to masses. Each mass function caches
+its commonality vector, so an operand costs one O(n * 2^n) transform over its
+lifetime; each combination then costs O(2^n) per operand plus one O(n * 2^n)
+inversion, regardless of focal count. That wins once operands carry many foci
+(dense all-subsets assignments in particular) or recur across many cases.
 """
 
 from __future__ import annotations
@@ -22,7 +24,6 @@ from .errors import FrameMismatchError, TotalConflictError
 
 _MIN_SURVIVING_MASS = 1e-12  # 1 - k at or below this is total conflict
 _DENSE_NOISE_FLOOR = 1e-15   # Mobius round-off cutoff on recovered masses
-DENSE_MAX_OUTCOMES = 20      # 2^20 lattice points; past this the dense path thrashes memory
 
 
 @dataclass(frozen=True)
@@ -101,7 +102,7 @@ def combine_all(ms: Sequence[MassFunction], path: str = "auto") -> CombinationRe
 
 
 def _prefer_dense(ms: Sequence[MassFunction], frame: Frame) -> bool:
-    if frame.n > DENSE_MAX_OUTCOMES:
+    if frame.n > lattice.DENSE_MAX_OUTCOMES:
         return False
     budget = frame.n << frame.n
     product = 1
@@ -119,6 +120,10 @@ def fast_combine_via_commonality(ms: Sequence[MassFunction]) -> CombinationResul
     commonality is the pointwise product of the operands' commonalities, and
     a Mobius inversion recovers its masses. The empty-set entry of the
     inverted product is exactly the aggregate conflict.
+
+    Cost: one O(n * 2^n) transform per distinct operand over its lifetime
+    (MassFunction.commonality_vector caches it), plus O(2^n) per operand
+    and one O(n * 2^n) inversion per call.
     """
     ms = list(ms)
     if not ms:
@@ -126,15 +131,12 @@ def fast_combine_via_commonality(ms: Sequence[MassFunction]) -> CombinationResul
     frame = _shared_frame(ms)
     if len(ms) == 1:
         return CombinationResult(ms[0], 0.0)
+    # Fetched before the product is allocated, so an oversized frame is
+    # refused by commonality_vector's size check without touching memory.
+    commonalities = [m.commonality_vector() for m in ms]
     n = frame.n
-    if n > DENSE_MAX_OUTCOMES:
-        raise ValueError(
-            f"dense combination supports at most {DENSE_MAX_OUTCOMES} outcomes, got {n}"
-        )
     product = np.ones(1 << n)
-    for m in ms:
-        q = m.dense_masses().copy()
-        lattice.superset_sum(q, n)
+    for q in commonalities:
         product *= q
     lattice.superset_diff(product, n)
     conflict = float(product[0])

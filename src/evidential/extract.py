@@ -28,7 +28,6 @@ import numpy as np
 
 from . import lattice
 from .belief import Frame, Mask, MassFunction
-from .combine import DENSE_MAX_OUTCOMES
 from .errors import DataFormatError, FrameMismatchError
 from .records import CaseRecord, EvidenceItemId, ReferenceIntervals, Region
 
@@ -197,8 +196,10 @@ def method3(frame: Frame, freq: Sequence[float], norm: str = "global", theta: st
     if theta not in M3_THETAS:
         raise ValueError(f"theta must be one of {M3_THETAS}, got {theta!r}")
     n = frame.n
-    if n > DENSE_MAX_OUTCOMES:
-        raise ValueError(f"dense subset scoring supports at most {DENSE_MAX_OUTCOMES} outcomes, got {n}")
+    if n > lattice.DENSE_MAX_OUTCOMES:
+        raise ValueError(
+            f"dense subset scoring supports at most {lattice.DENSE_MAX_OUTCOMES} outcomes, got {n}"
+        )
     values = _proportions(freq, n)
     size = 1 << n
     raw = np.zeros(size)

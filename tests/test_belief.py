@@ -1,6 +1,9 @@
 import json
 import math
+import sys
+import threading
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -224,6 +227,54 @@ def test_transform_consistency_against_dense_oracle(m):
         assert m.belief(mask) == pytest.approx(bel_oracle(m, mask), abs=1e-12)
         assert m.plausibility(mask) == pytest.approx(pl_oracle(m, mask), abs=1e-12)
         assert m.commonality(mask) == pytest.approx(q_oracle(m, mask), abs=1e-12)
+
+
+@settings(max_examples=100)
+@given(mass_functions())
+def test_commonality_vector_matches_oracle(m):
+    q = m.commonality_vector()
+    assert q.shape == (1 << m.frame.n,)
+    for mask in range(m.frame.full_mask + 1):
+        assert q[mask] == pytest.approx(q_oracle(m, mask), abs=1e-12)
+
+
+@pytest.mark.parametrize("n", [21, 30])
+def test_commonality_vector_refuses_oversized_frame(n):
+    m = MassFunction.vacuous(Frame(tuple(f"x{i}" for i in range(n))))
+    with pytest.raises(ValueError, match="at most 20 outcomes"):
+        m.commonality_vector()
+
+
+def test_commonality_vector_filled_once_under_thread_races():
+    frame = frame_of(8)
+    masses = {0b1: 0.2, 0b1011: 0.3, frame.full_mask: 0.5}
+    expected = MassFunction(frame, masses).commonality_vector()
+    shared = [MassFunction(frame, masses) for _ in range(200)]
+    results = [[] for _ in range(6)]
+    barrier = threading.Barrier(len(results))
+
+    def worker(out):
+        barrier.wait(timeout=10)
+        for m in shared:
+            q = m.commonality_vector()
+            out.append((q.flags.writeable, q.copy()))  # as seen on return
+
+    threads = [threading.Thread(target=worker, args=(out,)) for out in results]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=30)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    for out in results:
+        assert len(out) == len(shared)
+        for writeable, q in out:
+            assert not writeable
+            assert np.array_equal(q, expected)
 
 
 @settings(max_examples=100)

@@ -232,6 +232,61 @@ def test_lattice_transforms_invert():
         assert np.allclose(copy, arr, atol=1e-12)
 
 
+def _axis_slices(n, axis):
+    lo = tuple(0 if i == axis else slice(None) for i in range(n))
+    hi = tuple(1 if i == axis else slice(None) for i in range(n))
+    return lo, hi
+
+
+def _reference_transform(name, arr, n):
+    """The 2x...x2 axis-by-axis walk that fixed the round-off of every report."""
+    view = arr.reshape([2] * n)
+    for axis in range(n):
+        lo, hi = _axis_slices(n, axis)
+        if name == "subset_sum":
+            view[hi] += view[lo]
+        elif name == "superset_sum":
+            view[lo] += view[hi]
+        else:
+            view[lo] -= view[hi]
+
+
+@pytest.mark.parametrize("name", ["subset_sum", "superset_sum", "superset_diff"])
+def test_lattice_transforms_bit_exact_against_reference(name):
+    rng = np.random.default_rng(11)
+    for n in range(1, 13):
+        arr = rng.random(1 << n)
+        expected = arr.copy()
+        _reference_transform(name, expected, n)
+        getattr(lattice, name)(arr, n)
+        assert np.array_equal(arr, expected), (name, n)
+
+
+def test_commonality_vectors_computed_once_per_operand(monkeypatch):
+    calls = []
+    transform = lattice.superset_sum
+
+    def spy(arr, n):
+        calls.append(n)
+        transform(arr, n)
+
+    monkeypatch.setattr(lattice, "superset_sum", spy)
+    frame = frame_of(5)
+    rng = np.random.default_rng(5)
+    ms = [random_mass(frame, rng, max_foci=8) for _ in range(3)]
+    first = fast_combine_via_commonality(ms)
+    cached = [m.commonality_vector() for m in ms]
+    snapshots = [q.copy() for q in cached]
+    second = fast_combine_via_commonality(ms)
+    assert len(calls) == 3
+    assert first.combined == second.combined
+    assert first.conflict == second.conflict
+    for m, q, snapshot in zip(ms, cached, snapshots):
+        assert m.commonality_vector() is q
+        assert not q.flags.writeable
+        assert np.array_equal(q, snapshot)
+
+
 def test_subset_sum_scores_members():
     values = np.zeros(8)
     values[0b001] = 0.5
