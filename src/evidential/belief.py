@@ -14,7 +14,7 @@ import operator
 from dataclasses import dataclass
 from functools import cached_property
 from types import MappingProxyType
-from typing import Iterable, Iterator, Mapping
+from typing import Iterable, Mapping
 
 import numpy as np
 
@@ -110,10 +110,6 @@ class Frame:
             )
         return mask
 
-    def singleton_masks(self) -> Iterator[Mask]:
-        for i in range(self.n):
-            yield 1 << i
-
 
 @dataclass(frozen=True)
 class BeliefInterval:
@@ -148,9 +144,16 @@ class MassFunction:
     accepts totals within 1e-9 of 1, rescaling once when the drift exceeds
     1e-12. Instances are immutable after construction and safe to share
     across threads.
+
+    Derived values are cached on the instance on first use: the commonality
+    vector, the singleton belief intervals, and (filled by
+    combine.dempster_combine) the result of combining this instance, as the
+    left operand, with each right operand it has met. Each cache entry
+    depends only on the instance and its operand, so a thread that races
+    another on a first use stores an equal value.
     """
 
-    __slots__ = ("frame", "_focal", "_q")
+    __slots__ = ("frame", "_focal", "_q", "_intervals", "_combinations")
 
     def __init__(self, frame: Frame, masses: Mapping[Mask, float]):
         focal: dict[Mask, float] = {}
@@ -172,6 +175,9 @@ class MassFunction:
         self.frame = frame
         self._focal = focal
         self._q: np.ndarray | None = None
+        self._intervals: tuple[BeliefInterval, ...] | None = None
+        # id(right) -> (right, CombinationResult); see combine.dempster_combine
+        self._combinations: dict | None = None
 
     @classmethod
     def vacuous(cls, frame: Frame) -> "MassFunction":
@@ -237,6 +243,35 @@ class MassFunction:
 
     def interval(self, mask: Mask) -> BeliefInterval:
         return BeliefInterval(self.belief(mask), self.plausibility(mask))
+
+    def singleton_intervals(self) -> tuple[BeliefInterval, ...]:
+        """Belief interval of every singleton, in frame order (cached).
+
+        One pass over the foci: Bel({x}) is m({x}) and Pl({x}) is 1 minus the
+        fsum of the masses of foci without x. fsum is correctly rounded, so
+        the tuple equals interval(bit) for each singleton bit exactly,
+        including the one-outcome frame, where Bel of the whole frame is 1.
+        """
+        intervals = self._intervals
+        if intervals is None:
+            n = self.frame.n
+            full = self.frame.full_mask
+            without: list[list[float]] = [[] for _ in range(n)]
+            for mask, value in self._focal.items():
+                rest = full & ~mask
+                while rest:
+                    low = rest & -rest
+                    without[low.bit_length() - 1].append(value)
+                    rest ^= low
+            intervals = tuple(
+                BeliefInterval(
+                    1.0 if n == 1 else self._focal.get(1 << i, 0.0),
+                    1.0 - math.fsum(without[i]),
+                )
+                for i in range(n)
+            )
+            self._intervals = intervals
+        return intervals
 
     def is_consonant(self) -> bool:
         """True when the focal elements form a chain under set inclusion."""

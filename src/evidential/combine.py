@@ -8,6 +8,12 @@ its commonality vector, so an operand costs one O(n * 2^n) transform over its
 lifetime; each combination then costs O(2^n) per operand plus one O(n * 2^n)
 inversion, regardless of focal count. That wins once operands carry many foci
 (dense all-subsets assignments in particular) or recur across many cases.
+
+The sparse path memoizes each pairwise step on its left operand. Dempster's
+rule is a pure function of its two operands, and a fold's operands come from
+one finite BPA set, so cases that share a prefix of matched evidence share
+the cached results of that prefix: each distinct prefix is combined once
+while the set's mass functions live. The dense path keeps no such cache.
 """
 
 from __future__ import annotations
@@ -48,7 +54,21 @@ def dempster_combine(m1: MassFunction, m2: MassFunction) -> CombinationResult:
     The conflict k is the product mass whose focal intersections are empty;
     surviving products are scaled by 1/(1-k). Raises TotalConflictError when
     the operands are flatly contradictory.
+
+    Memoized on the left operand: the result is kept on m1 under id(m2),
+    together with m2 itself so that id stays m2's while the entry lives, and
+    a later call with the same m2 object returns the identical result.
+    Nothing in the result refers back to m1, so a fold's cached results are
+    freed by reference counting once its first operand goes (combining m2
+    with m1 as well makes a cycle, which the cycle collector frees). A
+    total conflict is never cached.
     """
+    memo = m1._combinations
+    if memo is None:
+        memo = m1._combinations = {}
+    hit = memo.get(id(m2))
+    if hit is not None:
+        return hit[1]
     frame = _shared_frame((m1, m2))
     buckets: dict[Mask, list[float]] = {}
     for a, va in m1.items():
@@ -61,7 +81,9 @@ def dempster_combine(m1: MassFunction, m2: MassFunction) -> CombinationResult:
     combined = MassFunction(
         frame, {mask: math.fsum(vals) / surviving for mask, vals in buckets.items()}
     )
-    return CombinationResult(combined, conflict)
+    result = CombinationResult(combined, conflict)
+    memo[id(m2)] = (m2, result)
+    return result
 
 
 def combine_all(ms: Sequence[MassFunction], path: str = "auto") -> CombinationResult:

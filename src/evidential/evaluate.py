@@ -101,7 +101,7 @@ def diagnose_case(
         observed_labels=bpa.frame.labels_of(mask),
         observed_mass=combined.mass(mask),
         conflict=conflict,
-        intervals=tuple(combined.interval(bit) for bit in bpa.frame.singleton_masks()),
+        intervals=combined.singleton_intervals(),
         evidence_used=tuple(item for item, _ in informative),
     )
 

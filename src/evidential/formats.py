@@ -21,7 +21,11 @@ from .records import CaseRecord, EvidenceItemId, ReferenceIntervals, Region
 
 
 def dump_json(doc: dict, path) -> None:
-    Path(path).write_text(json.dumps(doc, indent=2) + "\n")
+    # Streamed chunk by chunk: the same bytes as json.dumps(doc, indent=2)
+    # plus a newline, without holding the whole document as one string.
+    with open(path, "w") as fh:
+        json.dump(doc, fh, indent=2)
+        fh.write("\n")
 
 
 def load_json(path) -> dict:

@@ -13,6 +13,8 @@ import numpy as np
 from hypothesis import strategies as st
 
 from evidential.belief import Frame, MassFunction
+from evidential.extract import build_frequency_table, extract_bpas
+from evidential.synth import SynthConfig, generate_cases
 
 LABELS = tuple("abcdefgh")
 
@@ -77,6 +79,20 @@ def random_freq(n: int, rng: np.random.Generator, zero_prob: float = 0.3) -> lis
         counts[int(rng.integers(0, n))] = 1
     total = counts.sum()
     return [int(c) / int(total) for c in counts]
+
+
+def synthetic_2b(outcomes: int = 6, params: int = 6, cases: int = 300, test: int = 150):
+    """A method-2b BPA set document, its held-out cases and their intervals.
+
+    Each BpaSet.from_dict(doc) gives a set with mass functions of its own, so
+    tests can compare a fresh set with one that has already diagnosed cases.
+    Every case of the default size folds on the sparse path.
+    """
+    records, intervals = generate_cases(SynthConfig(outcomes, params, cases, seed=3))
+    train, held_out = records[:-test], records[-test:]
+    frame = Frame(tuple(sorted({c.outcome for c in train})))
+    bpa = extract_bpas(build_frequency_table(train, intervals, frame), "2b")
+    return bpa.to_dict(), held_out, intervals
 
 
 # --- hypothesis strategies ------------------------------------------------------

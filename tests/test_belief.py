@@ -277,6 +277,20 @@ def test_commonality_vector_filled_once_under_thread_races():
             assert np.array_equal(q, expected)
 
 
+@settings(max_examples=200)
+@given(mass_functions(min_n=1, max_n=8, max_foci=12))
+def test_singleton_intervals_equal_per_bit_intervals(m):
+    expected = tuple(m.interval(1 << i) for i in range(m.frame.n))
+    assert m.singleton_intervals() == expected
+    assert m.singleton_intervals() is m.singleton_intervals()
+
+
+def test_singleton_intervals_one_outcome_frame():
+    # a total within 1e-12 of 1 is kept verbatim, yet Bel of the frame is 1
+    m = MassFunction(Frame(("a",)), {0b1: 1.0 - 5e-13})
+    assert m.singleton_intervals() == (m.interval(0b1),) == (BeliefInterval(1.0, 1.0),)
+
+
 @settings(max_examples=100)
 @given(mass_functions())
 def test_commonality_monotone_under_supersets(m):

@@ -1,4 +1,6 @@
+import gc
 import math
+import weakref
 
 import numpy as np
 import pytest
@@ -12,7 +14,9 @@ from evidential.combine import (
     fast_combine_via_commonality,
 )
 from evidential.errors import FrameMismatchError, TotalConflictError
-from evidential import lattice
+from evidential.evaluate import evaluate_set
+from evidential.extract import BpaSet
+from evidential import combine, lattice
 
 from helpers import (
     combine_oracle,
@@ -21,6 +25,7 @@ from helpers import (
     masses_on,
     max_mass_diff,
     random_mass,
+    synthetic_2b,
 )
 
 AB = Frame(("a", "b"))
@@ -56,6 +61,41 @@ class TestDempsterCombine:
     def test_frame_mismatch(self):
         with pytest.raises(FrameMismatchError):
             dempster_combine(MassFunction.vacuous(AB), MassFunction.vacuous(frame_of(3)))
+
+    def test_repeat_call_returns_cached_result(self):
+        m1 = simple(AB, ["a"], 0.6)
+        m2 = simple(AB, ["b"], 0.5)
+        first = dempster_combine(m1, m2)
+        assert dempster_combine(m1, m2) is first
+        # keyed on the right operand's identity: an equal copy is combined anew
+        again = dempster_combine(m1, simple(AB, ["b"], 0.5))
+        assert again is not first
+        assert again == first
+
+
+def test_cached_results_freed_without_cycle_collection(monkeypatch):
+    doc, cases, intervals = synthetic_2b()
+    bpa = BpaSet.from_dict(doc)
+    refs = []
+    inner = combine.dempster_combine
+
+    def spy(m1, m2):
+        result = inner(m1, m2)
+        refs.append(weakref.ref(result))
+        return result
+
+    monkeypatch.setattr(combine, "dempster_combine", spy)
+    gc.collect()
+    gc.disable()
+    try:
+        report = evaluate_set(cases, bpa, intervals)
+        assert refs
+        assert all(ref() is not None for ref in refs)  # kept by the memo
+        del bpa  # the report holds intervals only, never a mass function
+        assert all(ref() is None for ref in refs)
+    finally:
+        gc.enable()
+    assert report.evaluated == len(cases)
 
 
 @settings(max_examples=200)

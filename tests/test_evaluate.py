@@ -1,8 +1,11 @@
 import math
+import sys
+import threading
 from fractions import Fraction
 
 import pytest
 
+from evidential import combine, formats
 from evidential.belief import Frame, MassFunction
 from evidential.errors import CaseSetMismatchError, NoEvidenceError, TotalConflictError
 from evidential.evaluate import (
@@ -19,6 +22,8 @@ from evidential.evaluate import (
 )
 from evidential.extract import BpaSet
 from evidential.records import CaseRecord, EvidenceItemId, Region, ReferenceIntervals
+
+from helpers import synthetic_2b
 
 ABC = Frame(("a", "b", "c"))
 INTERVALS = ReferenceIntervals({"P1": (10.0, 20.0), "P2": (10.0, 20.0)})
@@ -213,6 +218,55 @@ class TestEvaluateSet:
         cases = [CaseRecord(f"c{i}", "a", {"P1": 5.0}) for i in range(5)]
         report = evaluate_set(cases, self.perfect_bpa(), INTERVALS)
         assert report.evaluated == len(report.traces) == 5
+
+
+def test_report_bytes_equal_on_fresh_and_warm_memo(tmp_path, monkeypatch):
+    doc, cases, intervals = synthetic_2b()
+    fresh_path, warm_path = tmp_path / "fresh.json", tmp_path / "warm.json"
+    formats.write_report(evaluate_set(cases, BpaSet.from_dict(doc), intervals), fresh_path)
+    first, second = [], []
+    log = first
+    inner = combine.dempster_combine
+
+    def spy(m1, m2):
+        log.append(inner(m1, m2))
+        return log[-1]
+
+    monkeypatch.setattr(combine, "dempster_combine", spy)
+    warm = BpaSet.from_dict(doc)
+    evaluate_set(cases, warm, intervals)
+    log = second
+    formats.write_report(evaluate_set(cases, warm, intervals), warm_path)
+    assert warm_path.read_bytes() == fresh_path.read_bytes()
+    # the warm run repeats every step and gets each cached result back
+    assert first
+    assert len(second) == len(first)
+    assert all(a is b for a, b in zip(first, second))
+
+
+def test_shared_bpa_set_diagnoses_under_thread_races():
+    doc, cases, intervals = synthetic_2b()
+    expected = evaluate_set(cases, BpaSet.from_dict(doc), intervals)
+    shared = BpaSet.from_dict(doc)
+    reports = [None] * 6
+    barrier = threading.Barrier(len(reports))
+
+    def worker(slot):
+        barrier.wait(timeout=10)
+        reports[slot] = evaluate_set(cases, shared, intervals)
+
+    threads = [threading.Thread(target=worker, args=(slot,)) for slot in range(len(reports))]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert all(report == expected for report in reports)
 
 
 class TestMcNemar:

@@ -126,6 +126,11 @@ class TestBpaSetFiles:
         formats.write_bpa_set(self.bpa(), b)
         assert a.read_bytes() == b.read_bytes()
 
+    def test_streamed_bytes_equal_one_shot_dump(self, tmp_path):
+        path = tmp_path / "bpa.json"
+        formats.write_bpa_set(self.bpa(), path)
+        assert path.read_bytes() == (json.dumps(self.bpa().to_dict(), indent=2) + "\n").encode()
+
     def test_malformed_rejected(self, tmp_path):
         path = tmp_path / "bad.json"
         path.write_text('{"frame": ["a"], "items": [{"parameter": "P"}]}')
@@ -169,6 +174,13 @@ class TestReportFiles:
         path = tmp_path / "report.json"
         formats.write_report(report, path)
         assert formats.read_report(path) == report
+
+    def test_streamed_bytes_equal_one_shot_dump(self, tmp_path):
+        report = self.report()
+        path = tmp_path / "report.json"
+        formats.write_report(report, path)
+        expected = json.dumps(formats.report_to_dict(report), indent=2) + "\n"
+        assert path.read_bytes() == expected.encode()
 
     def test_table_rendering(self):
         report = self.report()
