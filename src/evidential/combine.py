@@ -9,6 +9,16 @@ lifetime; each combination then costs O(2^n) per operand plus one O(n * 2^n)
 inversion, regardless of focal count. That wins once operands carry many foci
 (dense all-subsets assignments in particular) or recur across many cases.
 
+Both paths share one rule (Shafer 1976, ch. 3), applied by _renormalised.
+The conflict k is the product mass that falls on the empty set. The surviving
+mass is the fsum of the unnormalised non-empty masses, and every combination
+divides by it rather than by 1 - k, which cancels under heavy conflict. A
+combination is total conflict, and raises TotalConflictError, when 1 - k or
+the surviving mass is at most 1e-12. The sparse fold also applies that
+threshold to its running product prod(1 - k_step), so a fold whose steps
+each keep a little, but whose product keeps less, is total conflict on both
+paths, as it is for the dense path's aggregate.
+
 The sparse path memoizes each pairwise step on its left operand. Dempster's
 rule is a pure function of its two operands, and a fold's operands come from
 one finite BPA set, so cases that share a prefix of matched evidence share
@@ -28,8 +38,8 @@ from . import lattice
 from .belief import Frame, Mask, MassFunction
 from .errors import FrameMismatchError, TotalConflictError
 
-_MIN_SURVIVING_MASS = 1e-12  # 1 - k at or below this is total conflict
-_DENSE_NOISE_FLOOR = 1e-15   # Mobius round-off cutoff on recovered masses
+_MIN_SURVIVING_MASS = 1e-12  # surviving mass at or below this is total conflict
+_DENSE_NOISE_FLOOR = 1e-15   # Mobius round-off cutoff, relative to 1 - k
 
 
 @dataclass(frozen=True)
@@ -48,12 +58,27 @@ def _shared_frame(ms: Sequence[MassFunction]) -> Frame:
     return frame
 
 
+def _renormalised(frame: Frame, raw: dict[Mask, float], conflict: float) -> CombinationResult:
+    """Apply the total-conflict rule and rescale the unnormalised masses raw.
+
+    Divides by the fsum of raw, the surviving mass this combination actually
+    recovered, and raises TotalConflictError when 1 - conflict or that sum is
+    at most _MIN_SURVIVING_MASS.
+    """
+    surviving = math.fsum(raw.values())
+    if min(1.0 - conflict, surviving) <= _MIN_SURVIVING_MASS:
+        raise TotalConflictError("all product mass fell on the empty set", conflict=conflict)
+    combined = MassFunction(frame, {mask: value / surviving for mask, value in raw.items()})
+    return CombinationResult(combined, conflict)
+
+
 def dempster_combine(m1: MassFunction, m2: MassFunction) -> CombinationResult:
     """Combine two mass functions, discarding conflict and renormalizing.
 
-    The conflict k is the product mass whose focal intersections are empty;
-    surviving products are scaled by 1/(1-k). Raises TotalConflictError when
-    the operands are flatly contradictory.
+    The conflict k is the fsum of the products whose focal intersections are
+    empty; each surviving mass is divided by the fsum of all surviving
+    products. Raises TotalConflictError when 1 - k or that sum is at most
+    1e-12 (the module's one total-conflict rule).
 
     Memoized on the left operand: the result is kept on m1 under id(m2),
     together with m2 itself so that id stays m2's while the entry lives, and
@@ -75,13 +100,9 @@ def dempster_combine(m1: MassFunction, m2: MassFunction) -> CombinationResult:
         for b, vb in m2.items():
             buckets.setdefault(a & b, []).append(va * vb)
     conflict = math.fsum(buckets.pop(0, ()))
-    surviving = 1.0 - conflict
-    if surviving <= _MIN_SURVIVING_MASS:
-        raise TotalConflictError("all product mass fell on the empty set", conflict=conflict)
-    combined = MassFunction(
-        frame, {mask: math.fsum(vals) / surviving for mask, vals in buckets.items()}
+    result = _renormalised(
+        frame, {mask: math.fsum(vals) for mask, vals in buckets.items()}, conflict
     )
-    result = CombinationResult(combined, conflict)
     memo[id(m2)] = (m2, result)
     return result
 
@@ -94,13 +115,16 @@ def combine_all(ms: Sequence[MassFunction], path: str = "auto") -> CombinationRe
     path once the product of focal counts outgrows n * 2^n. The reported
     conflict is the total product mass lost across the whole fold,
     1 - prod(1 - k_step); the per-step conflicts are not additive.
+
+    Both paths raise TotalConflictError on the same inputs. The sparse fold
+    raises, with the failing step, when a step is total conflict or when its
+    running product prod(1 - k_step) falls to 1e-12 or below, which is where
+    the dense path finds its aggregate surviving mass gone.
     """
     ms = list(ms)
     if not ms:
         raise ValueError("need at least one mass function")
     frame = _shared_frame(ms)
-    if len(ms) == 1:
-        return CombinationResult(ms[0], 0.0)
     if path == "auto":
         path = "commonality" if _prefer_dense(ms, frame) else "sparse"
     if path == "commonality":
@@ -112,14 +136,15 @@ def combine_all(ms: Sequence[MassFunction], path: str = "auto") -> CombinationRe
     for step, m in enumerate(ms[1:], start=1):
         try:
             result = dempster_combine(acc, m)
-        except TotalConflictError as exc:
+        except TotalConflictError:
+            kept = 0.0
+        else:
+            acc = result.combined
+            kept *= 1.0 - result.conflict
+        if kept <= _MIN_SURVIVING_MASS:
             raise TotalConflictError(
-                f"total conflict while folding operand {step}",
-                conflict=exc.conflict,
-                step=step,
-            ) from exc
-        acc = result.combined
-        kept *= 1.0 - result.conflict
+                f"total conflict while folding operand {step}", conflict=1.0 - kept, step=step
+            )
     return CombinationResult(acc, 1.0 - kept)
 
 
@@ -141,7 +166,12 @@ def fast_combine_via_commonality(ms: Sequence[MassFunction]) -> CombinationResul
     Equivalent to the pairwise fold: the unnormalized combination's
     commonality is the pointwise product of the operands' commonalities, and
     a Mobius inversion recovers its masses. The empty-set entry of the
-    inverted product is exactly the aggregate conflict.
+    inverted product is exactly the aggregate conflict k. Recovered masses at
+    or below 1e-15 * (1 - k) are inversion round-off and are dropped; the
+    floor scales with the surviving mass, whose size bounds that round-off,
+    so heavy conflict keeps genuine small masses. The rest are divided by
+    their fsum, and the result is total conflict when 1 - k or that sum is at
+    most 1e-12: the same rule as the sparse fold.
 
     Cost: one O(n * 2^n) transform per distinct operand over its lifetime
     (MassFunction.commonality_vector caches it), plus O(2^n) per operand
@@ -162,17 +192,6 @@ def fast_combine_via_commonality(ms: Sequence[MassFunction]) -> CombinationResul
         product *= q
     lattice.superset_diff(product, n)
     conflict = float(product[0])
-    if 1.0 - conflict <= _MIN_SURVIVING_MASS:
-        raise TotalConflictError("all product mass fell on the empty set", conflict=conflict)
-    raw: dict[Mask, float] = {}
-    for mask in np.nonzero(product > _DENSE_NOISE_FLOOR)[0]:
-        if mask:
-            raw[int(mask)] = float(product[mask])
-    # Normalize by the surviving mass actually recovered, not by 1 - k:
-    # inversion round-off and the noise floor make the two differ slightly,
-    # and under heavy conflict that difference would break normalization.
-    total = math.fsum(raw.values())
-    if total <= _MIN_SURVIVING_MASS:
-        raise TotalConflictError("all product mass fell on the empty set", conflict=conflict)
-    combined = MassFunction(frame, {mask: value / total for mask, value in raw.items()})
-    return CombinationResult(combined, conflict)
+    floor = _DENSE_NOISE_FLOOR * (1.0 - conflict)
+    raw = {int(mask): float(product[mask]) for mask in np.nonzero(product > floor)[0] if mask}
+    return _renormalised(frame, raw, conflict)

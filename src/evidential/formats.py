@@ -10,7 +10,7 @@ import csv
 import json
 import warnings
 from pathlib import Path
-from typing import Sequence
+from typing import Iterable, Sequence
 
 from .belief import BeliefInterval, Frame
 from .correlate import CorrelationGraph, PruneResult
@@ -304,9 +304,10 @@ def write_prune_report(graph: CorrelationGraph, result: PruneResult, path) -> No
     dump_json(prune_report_doc(graph, result), path)
 
 
-def write_removal_list(result: PruneResult, path) -> None:
-    """Plain-text removal list, one parameter per line, for --drop-params."""
-    Path(path).write_text("".join(f"{param}\n" for param in sorted(result.removed)))
+def write_removal_list(params: Iterable[str], path) -> None:
+    """Plain-text removal list, one parameter per line in sorted order, as
+    read_drop_params reads it for --drop-params."""
+    Path(path).write_text("".join(f"{param}\n" for param in sorted(params)))
 
 
 def read_drop_params(path) -> frozenset[str]:

@@ -88,7 +88,7 @@ def prune(params, cases, threshold: float, min_pairs: int, group: Group, out, re
     graph = build_graph(matrix, threshold, group)
     result = prune_components(graph)
     formats.write_prune_report(graph, result, out)
-    formats.write_removal_list(result, removal_out)
+    formats.write_removal_list(result.removed, removal_out)
     return graph, result
 
 
@@ -153,7 +153,7 @@ def run_pipeline(
     if config.drop_params:
         with _stage("drop"):
             drop = formats.read_drop_params(config.drop_params)
-            (out / "dropped_params.txt").write_text("".join(f"{p}\n" for p in sorted(drop)))
+            formats.write_removal_list(drop, out / "dropped_params.txt")
     elif config.auto_prune:
         with _stage("prune"):
             _, result = prune(train_params, train_cases, config.threshold, config.min_pairs,

@@ -70,6 +70,28 @@ def random_mass(frame: Frame, rng: np.random.Generator, max_foci: int = 6) -> Ma
     return MassFunction(frame, {int(f): float(w) for f, w in zip(foci, weights)})
 
 
+def conflicting_mass(frame: Frame, rng: np.random.Generator) -> MassFunction:
+    """One to three foci of one or two outcomes, weights spread over 8 decades.
+
+    Operands like these rarely share a focus, so folding a few of them throws
+    away nearly all of the product mass.
+    """
+    small = [mask for mask in range(1, frame.full_mask + 1) if mask.bit_count() <= 2]
+    count = min(int(rng.integers(1, 4)), len(small))
+    foci = rng.choice(small, size=count, replace=False)
+    weights = 10.0 ** -rng.uniform(0.0, 8.0, size=count)
+    weights /= weights.sum()
+    return MassFunction(frame, {int(f): float(w) for f, w in zip(foci, weights)})
+
+
+def heavy_conflict_folds(seed: int, count: int):
+    """count folds of 2-8 conflicting_mass operands on frames of 2-6 outcomes."""
+    rng = np.random.default_rng(seed)
+    for _ in range(count):
+        frame = frame_of(int(rng.integers(2, 7)))
+        yield [conflicting_mass(frame, rng) for _ in range(int(rng.integers(2, 9)))]
+
+
 def random_freq(n: int, rng: np.random.Generator, zero_prob: float = 0.3) -> list[float]:
     """Random frequency vector, often with exact zeros and exact ties."""
     counts = rng.integers(0, 10, size=n)

@@ -21,6 +21,7 @@ from evidential import combine, lattice
 from helpers import (
     combine_oracle,
     frame_of,
+    heavy_conflict_folds,
     mass_function_lists,
     masses_on,
     max_mass_diff,
@@ -247,6 +248,56 @@ def test_auto_path_agrees_with_sparse(ms):
         assume(False)
     auto = combine_all(ms, path="auto")
     assert max_mass_diff(sparse.combined, auto.combined) <= 1e-9
+
+
+def _combine_or_none(ms, path):
+    try:
+        return combine_all(ms, path=path)
+    except TotalConflictError:
+        return None
+
+
+class TestHeavyConflict:
+    """Both paths divide by the surviving mass they recover and share one
+    total-conflict rule, so they agree on masses and on which inputs raise."""
+
+    def test_near_total_pair_renormalises_on_both_paths(self):
+        x = 1.0 - 1e-8
+        m1 = MassFunction.from_labels(AB, {("a",): x, ("b",): 1.0 - x})
+        m2 = MassFunction.from_labels(AB, {("b",): x, ("a",): 1.0 - x})
+        sparse = combine_all([m1, m2], path="sparse")
+        dense = combine_all([m1, m2], path="commonality")
+        for result in (sparse, dense):
+            assert result.combined.mass(AB.bit("a")) == pytest.approx(0.5, abs=1e-9)
+            assert result.combined.mass(AB.bit("b")) == pytest.approx(0.5, abs=1e-9)
+        assert max_mass_diff(sparse.combined, dense.combined) <= 1e-9
+        assert abs(sparse.conflict - dense.conflict) <= 1e-9
+
+    def test_running_product_decides_total_conflict(self):
+        # every step keeps at least 1e-6 of its mass, but the running product
+        # prod(1 - k_step) first falls to 1e-12 or below at operand 5
+        frame = frame_of(4)
+        a = MassFunction.from_labels(frame, {("a",): 0.999999, frame.labels: 1e-6})
+        b = MassFunction.from_labels(frame, {("b",): 0.999999, frame.labels: 1e-6})
+        ms = [a, b] * 4
+        with pytest.raises(TotalConflictError) as err:
+            combine_all(ms, path="sparse")
+        assert err.value.step == 5
+        with pytest.raises(TotalConflictError):
+            combine_all(ms, path="commonality")
+
+    def test_seeded_sweep_paths_agree(self):
+        raised = 0
+        for ms in heavy_conflict_folds(seed=0, count=3000):
+            sparse = _combine_or_none(ms, "sparse")
+            dense = _combine_or_none(ms, "commonality")
+            assert (sparse is None) == (dense is None), ms
+            if sparse is None:
+                raised += 1
+                continue
+            assert max_mass_diff(sparse.combined, dense.combined) <= 1e-9, ms
+            assert abs(sparse.conflict - dense.conflict) <= 1e-9, ms
+        assert 0 < raised < 3000  # the sweep exercises both verdicts
 
 
 def test_support_reinforcement():

@@ -211,7 +211,7 @@ class TestPruneFiles:
         report_path = tmp_path / "prune.json"
         list_path = tmp_path / "drop.txt"
         formats.write_prune_report(graph, result, report_path)
-        formats.write_removal_list(result, list_path)
+        formats.write_removal_list(result.removed, list_path)
 
         doc = json.loads(report_path.read_text())
         assert doc["group"] == "hematologic"
