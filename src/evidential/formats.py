@@ -1,14 +1,22 @@
 """File formats: cases and reference intervals as CSV, everything else as JSON.
 
 JSON documents are written with a fixed key order and 2-space indentation so
-identical inputs always serialize to identical bytes.
+identical inputs always serialize to identical bytes. The evaluation report,
+the one large document, is streamed trace by trace by a writer of its own; its
+bytes are those of json.dump(report_to_dict(report), indent=2) plus a newline.
 """
 
 from __future__ import annotations
 
 import csv
+import functools
 import json
+import math
 import warnings
+from dataclasses import replace
+from itertools import chain
+from json.encoder import encode_basestring_ascii as _encode_str
+from operator import attrgetter
 from pathlib import Path
 from typing import Iterable, Sequence
 
@@ -260,7 +268,73 @@ def read_report(path) -> EvaluationReport:
 
 
 def write_report(report: EvaluationReport, path) -> None:
-    dump_json(report_to_dict(report), path)
+    """Stream the report one trace at a time, as the same bytes as
+    json.dumps(report_to_dict(report), indent=2) plus a newline."""
+    head = json.dumps(report_to_dict(replace(report, traces=())), indent=2)
+    with open(path, "w") as fh:
+        if not report.traces:
+            fh.write(head + "\n")
+            return
+        # "traces" is the header's last key, so it ends in `"traces": []\n}`.
+        fh.write(head[: -len("[]\n}")] + "[\n")
+        separator = ""
+        for trace in report.traces:
+            fh.write(separator + _trace_text(trace))
+            separator = ",\n"
+        fh.write("\n  ]\n}\n")
+
+
+_BOUNDS = attrgetter("lower", "upper")
+
+
+def _trace_text(trace: CaseTrace) -> str:
+    """One trace as json.dumps(indent=2) writes it inside the traces list.
+
+    Strings go through json's own C escaper and finite floats through
+    float.__repr__, which is what json.dumps writes for them. The category
+    and the regions are str enums, so their text is their value. A trace with
+    any other value (NaN, an infinity, an int) falls back to json.dumps."""
+    bounds = [*chain.from_iterable(map(_BOUNDS, trace.intervals))]
+    template = _trace_template(
+        len(trace.observed_labels), len(trace.intervals), len(trace.evidence_used)
+    )
+    try:
+        if not math.isfinite(sum(bounds, trace.observed_mass + trace.conflict)):
+            raise ValueError("non-finite float")
+        return template % (
+            *map(_encode_str, (trace.case_id, trace.expected, trace.category)),
+            *map(_encode_str, trace.observed_labels),
+            *map(float.__repr__, (trace.observed_mass, trace.conflict, *bounds)),
+            *map(_encode_str, chain.from_iterable(trace.evidence_used)),
+        )
+    except (TypeError, ValueError):
+        text = json.dumps(_trace_to_dict(trace), indent=2)
+        return "    " + text.replace("\n", "\n    ")
+
+
+@functools.lru_cache(maxsize=1024)
+def _trace_template(observed: int, intervals: int, evidence: int) -> str:
+    """The %-template of one trace with these list lengths; every value is a
+    %s slot, filled in field order."""
+
+    def items(count: int, item: str) -> str:
+        if not count:
+            return "[]"
+        return "[\n" + ",\n".join([" " * 8 + item] * count) + "\n      ]"
+
+    pair = "[\n          %s,\n          %s\n        ]"
+    return (
+        "    {\n"
+        '      "case_id": %s,\n'
+        '      "expected": %s,\n'
+        '      "category": %s,\n'
+        f'      "observed": {items(observed, "%s")},\n'
+        '      "observed_mass": %s,\n'
+        '      "conflict": %s,\n'
+        f'      "intervals": {items(intervals, pair)},\n'
+        f'      "evidence_used": {items(evidence, pair)}\n'
+        "    }"
+    )
 
 
 def format_report_table(reports: Sequence[EvaluationReport]) -> str:

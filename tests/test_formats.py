@@ -1,13 +1,16 @@
 import json
 import math
+from typing import NamedTuple
 
 import pytest
+from hypothesis import HealthCheck, example, given, settings
+from hypothesis import strategies as st
 
 from evidential import formats
-from evidential.belief import Frame, MassFunction
+from evidential.belief import BeliefInterval, Frame, MassFunction
 from evidential.correlate import CorrelationMatrix, Group, build_graph, prune_components
 from evidential.errors import DataFormatError
-from evidential.evaluate import evaluate_set
+from evidential.evaluate import CATEGORIES, CaseTrace, EvaluationReport, evaluate_set
 from evidential.extract import BpaSet, build_frequency_table, extract_bpas
 from evidential.records import (
     CaseRecord,
@@ -157,6 +160,71 @@ class TestFrequencyTableFiles:
         assert formats.read_frequency_table(path) == table
 
 
+class _Bounds(NamedTuple):
+    """Any pair of floats where a BeliefInterval would reject the pair."""
+
+    lower: float
+    upper: float
+
+
+# Text that json has to escape: quotes, backslashes, control characters and
+# non-ASCII, including astral characters written as surrogate pairs.
+_texts = st.text(
+    st.one_of(st.characters(), st.sampled_from('"\\/\x00\x1f\x7f\n\t\u00e9\u2028\U0001f600')),
+    max_size=6,
+)
+_floats = st.one_of(st.floats(), st.sampled_from([0.0, -0.0, 1.0, 5e-324, math.nan, -math.inf]))
+
+
+@st.composite
+def _reports(draw) -> EvaluationReport:
+    labels = draw(st.lists(_texts.filter(bool), min_size=1, max_size=4, unique=True))
+    unit = st.floats(0.0, 1.0)
+    interval = st.one_of(
+        st.builds(lambda a, b: BeliefInterval(min(a, b), max(a, b)), unit, unit),
+        st.builds(_Bounds, _floats, _floats),
+    )
+    evidence = st.builds(EvidenceItemId, _texts, st.sampled_from(Region))
+    trace = st.builds(
+        CaseTrace,
+        case_id=_texts,
+        expected=_texts,
+        category=st.sampled_from(CATEGORIES),
+        observed_labels=st.lists(st.sampled_from(labels), max_size=4).map(tuple),
+        observed_mass=_floats,
+        conflict=_floats,
+        intervals=st.lists(interval, max_size=4).map(tuple),
+        evidence_used=st.lists(evidence, max_size=3).map(tuple),
+    )
+    return EvaluationReport(
+        label=draw(_texts),
+        frame=Frame(tuple(labels)),
+        total_cases=draw(st.integers(0, 10**6)),
+        counts={cat: draw(st.integers(0, 3)) for cat in CATEGORIES},
+        traces=tuple(draw(st.lists(trace, max_size=4))),
+        errors=tuple(draw(st.lists(st.tuples(_texts, _texts), max_size=3))),
+    )
+
+
+# No traces, no errors, no percentages; then an all-vacuous trace with no
+# evidence and a trace with non-finite floats.
+_NO_TRACES = EvaluationReport(
+    label="empty", frame=ABC, total_cases=0, counts={cat: 0 for cat in CATEGORIES},
+    traces=(), errors=(),
+)
+_VACUOUS_NON_FINITE = EvaluationReport(
+    label="vacuous", frame=ABC, total_cases=2, counts=dict(zip(CATEGORIES, (1, 1, 0))),
+    traces=(
+        CaseTrace("c1", "a", CATEGORIES[1], ("a", "b", "c"), 1.0, 0.0,
+                  (BeliefInterval(0.0, 1.0),) * 3, ()),
+        CaseTrace("c2", "b", CATEGORIES[0], ("b",), math.nan, math.inf,
+                  (_Bounds(-math.inf, math.nan), BeliefInterval(0.5, 0.5), _Bounds(-0.0, 1.0)),
+                  (EvidenceItemId("P1", Region.BELOW),)),
+    ),
+    errors=(),
+)
+
+
 class TestReportFiles:
     def report(self):
         intervals = ReferenceIntervals({"P1": (10.0, 20.0)})
@@ -175,8 +243,15 @@ class TestReportFiles:
         formats.write_report(report, path)
         assert formats.read_report(path) == report
 
-    def test_streamed_bytes_equal_one_shot_dump(self, tmp_path):
-        report = self.report()
+    @settings(max_examples=60, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(generated=_reports())
+    @example(generated=None)
+    @example(generated=_NO_TRACES)
+    @example(generated=_VACUOUS_NON_FINITE)
+    def test_streamed_bytes_equal_one_shot_dump(self, tmp_path, generated):
+        """None stands for the evaluated report the other tests use."""
+        report = self.report() if generated is None else generated
         path = tmp_path / "report.json"
         formats.write_report(report, path)
         expected = json.dumps(formats.report_to_dict(report), indent=2) + "\n"
