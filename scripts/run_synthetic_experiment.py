@@ -4,7 +4,8 @@
 Generates cases with a fixed seed, splits them into train/test, learns BPAs
 with every method, evaluates each against the held-out cases, prints the
 match-category table side by side, and runs pairwise exact McNemar tests on
-the precise-match indicators.
+the precise-match indicators. A case a method could not diagnose counts as
+not a precise match for that method.
 
 Usage:
     python3 scripts/run_synthetic_experiment.py --out-dir /tmp/exp
@@ -12,6 +13,7 @@ Usage:
 """
 
 import argparse
+from itertools import combinations
 from pathlib import Path
 
 from evidential import formats
@@ -60,27 +62,23 @@ def main():
         report = evaluate_set(test, bpa, intervals)
         reports.append(report)
         if report.errors:
-            print(f"  method {method}: {len(report.errors)} case(s) excluded "
-                  f"(no evidence, total conflict, unknown label or non-finite value)")
+            print(f"  method {method}: {len(report.errors)} case(s) not diagnosed "
+                  f"(no evidence, total conflict, unknown label or non-finite value); "
+                  f"left out of its percentages, counted as not PM in the comparisons")
 
     print()
     print(formats.format_report_table(reports))
     print()
 
-    for i in range(len(reports)):
-        for j in range(i + 1, len(reports)):
-            a, b = reports[i], reports[j]
-            cats_b = {t.case_id: t.category for t in b.traces}
-            paired = {t.case_id: (t.category, cats_b[t.case_id])
-                      for t in a.traces if t.case_id in cats_b}
-            verdict = compare_methods(a, b, paired=paired)
-            tag = "degenerate" if verdict.degenerate else (
-                "significant" if verdict.significant else "not significant"
-            )
-            print(
-                f"{a.label} vs {b.label}: PM-only {verdict.pm_only_a}/{verdict.pm_only_b}, "
-                f"p = {verdict.p_value:.4g} ({tag} at {verdict.alpha})"
-            )
+    for a, b in combinations(reports, 2):
+        verdict = compare_methods(a, b)
+        tag = "degenerate" if verdict.degenerate else (
+            "significant" if verdict.significant else "not significant"
+        )
+        print(
+            f"{a.label} vs {b.label}: PM-only {verdict.pm_only_a}/{verdict.pm_only_b}, "
+            f"p = {verdict.p_value:.4g} ({tag} at {verdict.alpha})"
+        )
 
     if args.out_dir:
         out = Path(args.out_dir)

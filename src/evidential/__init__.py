@@ -6,7 +6,7 @@ parameters with Dempster's rule, and scores diagnoses against ground truth
 with a precise/imprecise/non-match taxonomy.
 """
 
-from .belief import BeliefInterval, Frame, Mask, MassFunction, validate_mass
+from .belief import BeliefInterval, Frame, Mask, MassFunction
 from .combine import (
     CombinationResult,
     combine_all,

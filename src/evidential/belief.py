@@ -13,7 +13,6 @@ import math
 import operator
 from dataclasses import dataclass
 from functools import cached_property
-from types import MappingProxyType
 from typing import Iterable, Mapping
 
 import numpy as np
@@ -131,10 +130,6 @@ class BeliefInterval:
         object.__setattr__(self, "lower", lower)
         object.__setattr__(self, "upper", upper)
 
-    @property
-    def width(self) -> float:
-        return self.upper - self.lower
-
 
 class MassFunction:
     """Sparse basic probability assignment over a frame.
@@ -189,11 +184,6 @@ class MassFunction:
         """Build from subsets given as label iterables."""
         return cls(frame, {frame.mask_of(subset): value for subset, value in masses.items()})
 
-    @property
-    def focal(self) -> Mapping[Mask, float]:
-        """Read-only focal-element map (mask -> mass)."""
-        return MappingProxyType(self._focal)
-
     def items(self):
         return self._focal.items()
 
@@ -234,13 +224,6 @@ class MassFunction:
         """Mass not committed against mask: 1 - belief of the complement."""
         return 1.0 - self.belief(self.frame.complement(mask))
 
-    def commonality(self, mask: Mask) -> float:
-        """Total mass of all focal elements containing mask."""
-        mask = self.frame.check_mask(mask)
-        if mask == 0:
-            return 1.0
-        return math.fsum(v for f, v in self._focal.items() if f & mask == mask)
-
     def interval(self, mask: Mask) -> BeliefInterval:
         return BeliefInterval(self.belief(mask), self.plausibility(mask))
 
@@ -272,11 +255,6 @@ class MassFunction:
             )
             self._intervals = intervals
         return intervals
-
-    def is_consonant(self) -> bool:
-        """True when the focal elements form a chain under set inclusion."""
-        foci = sorted(self._focal, key=lambda m: m.bit_count())
-        return all(a & b == a for a, b in zip(foci, foci[1:]))
 
     def commonality_vector(self) -> np.ndarray:
         """Commonality of every subset, indexed by mask (cached, read-only).
@@ -335,20 +313,3 @@ class MassFunction:
 def _focal_order(item):
     mask, _ = item
     return (mask.bit_count(), mask)
-
-
-def validate_mass(m: MassFunction) -> None:
-    """Re-check the mass function invariants, raising the specific violation.
-
-    Construction already enforces these; this exists so tests and readers of
-    serialized artifacts can re-assert them independently.
-    """
-    for mask, value in m.items():
-        m.frame.check_mask(mask)
-        if mask == 0:
-            raise EmptySetMassError("empty set carries mass")
-        if value <= 0.0:
-            raise NonPositiveMassError(f"non-positive mass {value} on mask {mask:#x}")
-    total = math.fsum(v for _, v in m.items())
-    if abs(total - 1.0) > MASS_SUM_TOL:
-        raise NotNormalizedError(total)

@@ -101,7 +101,8 @@ def build_parser() -> _Parser:
     p.add_argument("--report", action="append", required=True, dest="reports",
                    metavar="REPORT", help="give twice: report A then report B")
     p.add_argument("--paired", default=None,
-                   help="optional CSV case_id,category_a,category_b overriding the report traces")
+                   help="optional CSV case_id,category_a,category_b replacing the pairing "
+                        "of the reports' cases")
     p.add_argument("--alpha", type=float, default=0.05)
     p.set_defaults(handler=cmd_compare)
 

@@ -234,6 +234,13 @@ def mcnemar_exact_p(b: int, c: int) -> float:
     return float(min(Fraction(2 * tail, 2**n), Fraction(1)))
 
 
+def _listed_categories(report: EvaluationReport) -> dict[str, MatchCategory | None]:
+    """Category of every case the report lists; None for an errored case."""
+    cats: dict[str, MatchCategory | None] = dict.fromkeys(cid for cid, _ in report.errors)
+    cats.update((t.case_id, t.category) for t in report.traces)
+    return cats
+
+
 def compare_methods(
     report_a: EvaluationReport,
     report_b: EvaluationReport,
@@ -242,16 +249,17 @@ def compare_methods(
 ) -> ComparisonVerdict:
     """Exact McNemar test on paired precise-match-or-not outcomes.
 
-    paired overrides the pairing source: case id -> (category under A,
-    category under B). By default the reports' own traces are paired by case
-    id, which requires both reports to have evaluated exactly the same cases.
-    A comparison with zero discordant pairs is flagged degenerate and never
-    significant.
+    By default every case id that either report lists, under its traces or
+    its errors, is paired by id. A case a report lists as an error counts as
+    not PM under that report, so a method is charged for the cases it failed
+    to diagnose. Both reports must list the same case ids; a case absent
+    from one of them entirely raises CaseSetMismatchError. paired overrides
+    this: case id -> (category under A, category under B). A comparison with
+    zero discordant pairs is flagged degenerate and never significant.
     """
     if paired is None:
-        cats_a = {t.case_id: t.category for t in report_a.traces}
-        cats_b = {t.case_id: t.category for t in report_b.traces}
-        if set(cats_a) != set(cats_b):
+        cats_a, cats_b = _listed_categories(report_a), _listed_categories(report_b)
+        if cats_a.keys() != cats_b.keys():
             raise CaseSetMismatchError("reports cover different case sets")
         paired = {cid: (cats_a[cid], cats_b[cid]) for cid in cats_a}
     b = sum(1 for ca, cb in paired.values() if ca == MatchCategory.PM and cb != MatchCategory.PM)

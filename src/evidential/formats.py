@@ -24,7 +24,7 @@ from .belief import BeliefInterval, Frame
 from .correlate import CorrelationGraph, PruneResult
 from .errors import DataFormatError
 from .evaluate import CATEGORIES, CaseTrace, EvaluationReport, MatchCategory
-from .extract import BpaSet, FrequencyEntry, FrequencyTable
+from .extract import BpaSet, FrequencyTable
 from .records import CaseRecord, EvidenceItemId, ReferenceIntervals, Region
 
 
@@ -180,25 +180,8 @@ def frequency_table_to_dict(table: FrequencyTable) -> dict:
     }
 
 
-def frequency_table_from_dict(doc: dict) -> FrequencyTable:
-    frame = Frame(tuple(doc["frame"]))
-    entries = {
-        EvidenceItemId(raw["parameter"], Region(raw["class"])): FrequencyEntry(tuple(raw["counts"]))
-        for raw in doc["items"]
-    }
-    return FrequencyTable(frame, entries)
-
-
 def write_frequency_table(table: FrequencyTable, path) -> None:
     dump_json(frequency_table_to_dict(table), path)
-
-
-def read_frequency_table(path) -> FrequencyTable:
-    doc = load_json(path)
-    try:
-        return frequency_table_from_dict(doc)
-    except (KeyError, TypeError, ValueError) as exc:
-        raise DataFormatError(f"{path}: malformed frequency table ({exc})") from exc
 
 
 # --- evaluation reports ---------------------------------------------------------

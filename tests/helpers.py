@@ -23,6 +23,25 @@ def frame_of(n: int) -> Frame:
     return Frame(LABELS[:n])
 
 
+# --- mass-function invariants ------------------------------------------------
+
+def assert_valid_mass(m: MassFunction) -> None:
+    """Re-check what construction promises: masks on the frame, positive
+    masses, none on the empty set, total within 1e-9 of 1."""
+    for mask, value in m.items():
+        m.frame.check_mask(mask)
+        assert mask != 0, "empty set carries mass"
+        assert value > 0.0, f"non-positive mass {value} on mask {mask:#x}"
+    total = math.fsum(v for _, v in m.items())
+    assert abs(total - 1.0) <= 1e-9, f"masses sum to {total}"
+
+
+def is_consonant(m: MassFunction) -> bool:
+    """True when the focal elements form a chain under set inclusion."""
+    foci = sorted((mask for mask, _ in m.items()), key=int.bit_count)
+    return all(a & b == a for a, b in zip(foci, foci[1:]))
+
+
 # --- brute-force oracles ------------------------------------------------------
 
 def bel_oracle(m: MassFunction, subset: int) -> float:
@@ -57,7 +76,7 @@ def combine_oracle(m1: MassFunction, m2: MassFunction) -> tuple[dict[int, float]
 
 
 def max_mass_diff(m1: MassFunction, m2: MassFunction) -> float:
-    masks = set(m1.focal) | set(m2.focal)
+    masks = dict(m1.items()).keys() | dict(m2.items()).keys()
     return max(abs(m1.mass(mask) - m2.mass(mask)) for mask in masks)
 
 

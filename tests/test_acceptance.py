@@ -10,7 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from evidential.belief import Frame, MassFunction, validate_mass
+from evidential.belief import Frame, MassFunction
 from evidential.cli import main as cli_main
 from evidential.combine import combine_all, dempster_combine, fast_combine_via_commonality
 from evidential.correlate import CorrelationGraph, Group, prune_components
@@ -36,7 +36,15 @@ from evidential.extract import (
 from evidential import formats
 from evidential.records import EvidenceItemId, Region
 
-from helpers import combine_oracle, frame_of, max_mass_diff, random_freq, random_mass
+from helpers import (
+    assert_valid_mass,
+    combine_oracle,
+    frame_of,
+    is_consonant,
+    max_mass_diff,
+    random_freq,
+    random_mass,
+)
 
 DATA = Path(__file__).parent / "data"
 
@@ -51,8 +59,8 @@ def test_criterion_1_consonant_extraction_suite():
         freq = random_freq(n, rng)
         frame = Frame(tuple(f"o{i}" for i in range(n)))
         m = method1_consonant(frame, freq)
-        validate_mass(m)  # masses positive, empty set unused, total 1 +- 1e-9
-        assert m.is_consonant()
+        assert_valid_mass(m)  # masses positive, empty set unused, total 1 +- 1e-9
+        assert is_consonant(m)
         top = max(freq)
         for i, f in enumerate(freq):
             assert abs(m.plausibility(1 << i) - f / top) <= 1e-12
@@ -104,7 +112,7 @@ def test_criterion_2_combination_algebra_suite():
                     continue
                 result = dempster_combine(m1, m2)
                 assert abs(result.conflict - oracle_conflict) <= 1e-12
-                masks = set(oracle_masses) | set(result.combined.focal)
+                masks = set(oracle_masses) | set(dict(result.combined.items()))
                 for mask in masks:
                     assert abs(
                         result.combined.mass(mask) - oracle_masses.get(mask, 0.0)
@@ -202,15 +210,15 @@ def test_criterion_4_method2_structure_suite():
         frame = Frame(tuple(f"o{i}" for i in range(n)))
         for remainder in ("complement", "theta"):
             m = method2(frame, freq, remainder)
-            validate_mass(m)
+            assert_valid_mass(m)
             assert len(m) <= 3
-            assert b_mask in m.focal
+            assert b_mask in m
             if top > 0.5:
                 assert b_mask == 1 << order[0]
                 assert abs(m.mass(b_mask) - top) <= 1e-12
             else:
                 assert m.mass(b_mask) > 0.5
-            others = set(m.focal) - {b_mask}
+            others = set(dict(m.items())) - {b_mask}
             if remainder == "theta":
                 assert others <= {frame.full_mask}
             else:
@@ -296,7 +304,7 @@ def test_criterion_7_performance_contract():
     result = combine_all(items)
     elapsed = time.perf_counter() - start
     assert elapsed < 1.0, f"40-item combination took {elapsed:.2f}s"
-    validate_mass(result.combined)
+    assert_valid_mass(result.combined)
 
     # dense all-subsets extraction for 12 parameters x 3 regions, then the
     # commonality-product path over all 36 items
@@ -308,7 +316,7 @@ def test_criterion_7_performance_contract():
     result = fast_combine_via_commonality(dense)
     elapsed = time.perf_counter() - start
     assert elapsed < 10.0, f"dense extraction + combination took {elapsed:.2f}s"
-    validate_mass(result.combined)
+    assert_valid_mass(result.combined)
 
 
 # every (observed, expected) pair for a four-outcome frame, tabulated by hand

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from evidential.belief import BeliefInterval, Frame, MassFunction, validate_mass
+from evidential.belief import BeliefInterval, Frame, MassFunction
 from evidential.errors import (
     EmptySetMassError,
     FrameMismatchError,
@@ -16,7 +16,7 @@ from evidential.errors import (
     NotNormalizedError,
 )
 
-from helpers import bel_oracle, frame_of, mass_functions, pl_oracle, q_oracle
+from helpers import assert_valid_mass, bel_oracle, frame_of, mass_functions, pl_oracle, q_oracle
 
 ABC = Frame(("a", "b", "c"))
 
@@ -75,12 +75,12 @@ class TestFrame:
 class TestConstruction:
     def test_vacuous_ok(self):
         m = MassFunction.vacuous(ABC)
-        validate_mass(m)
+        assert_valid_mass(m)
         assert m.mass(ABC.full_mask) == 1.0
 
     def test_simple_support_ok(self):
         m = MassFunction.from_labels(ABC, {("a",): 0.6, ("a", "b", "c"): 0.4})
-        validate_mass(m)
+        assert_valid_mass(m)
 
     def test_sum_violation_reports_total(self):
         with pytest.raises(NotNormalizedError) as err:
@@ -144,15 +144,16 @@ class TestFunctionals:
 
     def test_commonality(self):
         m = abc_mass()
-        assert m.commonality(ABC.bit("a")) == pytest.approx(1.0, abs=1e-12)
-        assert m.commonality(ABC.mask_of(["a", "b"])) == pytest.approx(0.6, abs=1e-12)
-        assert m.commonality(ABC.full_mask) == pytest.approx(0.4, abs=1e-12)
-        assert m.commonality(0) == 1.0
+        q = m.commonality_vector()
+        assert q[ABC.bit("a")] == pytest.approx(1.0, abs=1e-12)
+        assert q[ABC.mask_of(["a", "b"])] == pytest.approx(0.6, abs=1e-12)
+        assert q[ABC.full_mask] == pytest.approx(0.4, abs=1e-12)
+        assert q[0] == pytest.approx(1.0, abs=1e-12)
 
     def test_vacuous_commonality_all_one(self):
-        m = MassFunction.vacuous(ABC)
+        q = MassFunction.vacuous(ABC).commonality_vector()
         for mask in range(ABC.full_mask + 1):
-            assert m.commonality(mask) == 1.0
+            assert q[mask] == 1.0
 
     def test_interval_vacuous(self):
         m = MassFunction.vacuous(ABC)
@@ -179,18 +180,6 @@ class TestFunctionals:
     def test_interval_clips_float_spill(self):
         interval = BeliefInterval(0.5, 0.5 - 1e-12)
         assert interval.lower <= interval.upper
-
-
-class TestConsonance:
-    def test_chain_is_consonant(self):
-        assert abc_mass().is_consonant()
-
-    def test_incomparable_foci(self):
-        m = MassFunction.from_labels(ABC, {("a",): 0.5, ("b",): 0.5})
-        assert not m.is_consonant()
-
-    def test_vacuous_is_consonant(self):
-        assert MassFunction.vacuous(ABC).is_consonant()
 
 
 @settings(max_examples=200)
@@ -226,7 +215,6 @@ def test_transform_consistency_against_dense_oracle(m):
     for mask in range(m.frame.full_mask + 1):
         assert m.belief(mask) == pytest.approx(bel_oracle(m, mask), abs=1e-12)
         assert m.plausibility(mask) == pytest.approx(pl_oracle(m, mask), abs=1e-12)
-        assert m.commonality(mask) == pytest.approx(q_oracle(m, mask), abs=1e-12)
 
 
 @settings(max_examples=100)
@@ -294,11 +282,11 @@ def test_singleton_intervals_one_outcome_frame():
 @settings(max_examples=100)
 @given(mass_functions())
 def test_commonality_monotone_under_supersets(m):
-    full = m.frame.full_mask
-    for mask in range(full + 1):
+    q = m.commonality_vector()
+    for mask in range(m.frame.full_mask + 1):
         for i in range(m.frame.n):
             wider = mask | (1 << i)
-            assert m.commonality(wider) <= m.commonality(mask) + 1e-12
+            assert q[wider] <= q[mask] + 1e-12
 
 
 class TestSerialization:
@@ -336,11 +324,3 @@ class TestSerialization:
 @given(mass_functions())
 def test_serialization_round_trip_property(m):
     assert MassFunction.from_dict(m.to_dict()) == m
-
-
-def test_validate_mass_catches_external_violations():
-    m = MassFunction.vacuous(ABC)
-    # poke an invalid state past the constructor to prove the check is real
-    m._focal[0b001] = 0.5
-    with pytest.raises(NotNormalizedError):
-        validate_mass(m)

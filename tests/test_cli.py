@@ -1,9 +1,11 @@
 import json
+from dataclasses import replace
 
 import pytest
 
 from evidential.cli import main
 from evidential import formats
+from evidential.evaluate import MatchCategory
 from evidential.pipeline import PipelineConfig, run_pipeline
 
 
@@ -204,6 +206,37 @@ class TestCompare:
         out = capsys.readouterr().out
         assert code == 0
         assert "PM only under A = 10" in out
+
+    def test_compare_counts_errors_as_not_pm(self, dataset, tmp_path, capsys):
+        bpa_path = tmp_path / "b.json"
+        path_a, path_b = tmp_path / "a.json", tmp_path / "b_report.json"
+        run(
+            "extract", "--cases", str(dataset / "train.csv"),
+            "--intervals", str(dataset / "intervals.csv"),
+            "--method", "2a", "--out", str(bpa_path),
+        )
+        run(
+            "evaluate", "--bpa", str(bpa_path), "--test", str(dataset / "test.csv"),
+            "--intervals", str(dataset / "intervals.csv"), "--out", str(path_a),
+        )
+        # B lists as errors three cases that A diagnosed as PM
+        report = formats.read_report(path_a)
+        failed = [t for t in report.traces if t.category == MatchCategory.PM][:3]
+        assert len(failed) == 3
+        formats.write_report(
+            replace(
+                report,
+                label="B",
+                traces=tuple(t for t in report.traces if t not in failed),
+                errors=report.errors + tuple((t.case_id, "total conflict") for t in failed),
+            ),
+            path_b,
+        )
+        capsys.readouterr()
+        code = run("compare", "--report", str(path_a), "--report", str(path_b))
+        out = capsys.readouterr().out
+        assert code == 0
+        assert "PM only under A = 3, PM only under B = 0" in out
 
 
 class TestExitCodes:

@@ -289,7 +289,7 @@ class TestMcNemar:
             mcnemar_exact_p(-1, 2)
 
 
-def make_report(label, categories):
+def make_report(label, categories, errors=()):
     counts = {cat: 0 for cat in CATEGORIES}
     traces = []
     for cid, cat in categories.items():
@@ -300,10 +300,10 @@ def make_report(label, categories):
     return EvaluationReport(
         label=label,
         frame=ABC,
-        total_cases=len(categories),
+        total_cases=len(categories) + len(errors),
         counts=counts,
         traces=tuple(traces),
-        errors=(),
+        errors=tuple((cid, "total conflict") for cid in errors),
     )
 
 
@@ -338,6 +338,18 @@ class TestCompareMethods:
         report_b = make_report("B", {"c2": MatchCategory.PM})
         with pytest.raises(CaseSetMismatchError):
             compare_methods(report_a, report_b)
+
+    def test_errors_count_as_not_pm(self):
+        cats = {f"c{i}": MatchCategory.PM for i in range(10)}
+        failed = ["c7", "c8", "c9"]
+        report_a = make_report("A", cats, errors=["c10"])
+        report_b = make_report(
+            "B", {cid: cat for cid, cat in cats.items() if cid not in failed}, errors=failed + ["c10"]
+        )
+        verdict = compare_methods(report_a, report_b)
+        assert verdict.pm_only_a == len(failed)
+        assert verdict.pm_only_b == 0
+        assert verdict.p_value == pytest.approx(2 * 0.5**3, rel=1e-9)
 
     def test_explicit_pairing_overrides(self):
         report_a = make_report("A", {"c1": MatchCategory.PM})

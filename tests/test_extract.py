@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from evidential.belief import Frame, MassFunction, validate_mass
+from evidential.belief import Frame, MassFunction
 from evidential.extract import (
     BpaSet,
     FrequencyEntry,
@@ -16,7 +16,7 @@ from evidential.extract import (
 )
 from evidential.records import CaseRecord, EvidenceItemId, ReferenceIntervals, Region
 
-from helpers import frame_of, frequency_vectors
+from helpers import assert_valid_mass, frame_of, frequency_vectors, is_consonant
 
 ABC = Frame(("a", "b", "c"))
 INTERVALS = ReferenceIntervals({"AALB": (10.0, 20.0)})
@@ -95,7 +95,7 @@ class TestMethod1:
     def test_scale_invariant(self):
         a = method1_consonant(ABC, (5, 3, 2))
         b = method1_consonant(ABC, (0.5, 0.3, 0.2))
-        for mask in a.focal:
+        for mask, _ in a.items():
             assert a.mass(mask) == pytest.approx(b.mass(mask), abs=1e-12)
 
 
@@ -105,8 +105,8 @@ def test_method1_properties(nf):
     n, freq = nf
     frame = frame_of(n)
     m = method1_consonant(frame, freq)
-    validate_mass(m)
-    assert m.is_consonant()
+    assert_valid_mass(m)
+    assert is_consonant(m)
     top = max(freq)
     for i, f in enumerate(freq):
         assert m.plausibility(1 << i) == pytest.approx(f / top, abs=1e-12)
@@ -156,7 +156,7 @@ def test_method2_structure(nf, remainder):
     n, freq = nf
     frame = frame_of(n)
     m = method2(frame, freq, remainder)
-    validate_mass(m)
+    assert_valid_mass(m)
     assert len(m) <= 3
 
     order = sorted(range(n), key=lambda i: (-freq[i], i))
@@ -185,7 +185,7 @@ def test_method2_structure(nf, remainder):
 
     rest = [i for i in order[cut:] if freq[i] > 0]
     if remainder == "theta":
-        for mask in m.focal:
+        for mask, _ in m.items():
             assert mask in (b_mask, frame.full_mask)
         if b_mask != frame.full_mask and b_val < 1.0:
             assert m.mass(frame.full_mask) == pytest.approx(1.0 - b_val, abs=1e-9)
@@ -205,9 +205,9 @@ def test_method2b_simple_support_when_b_singleton(nf):
     n, freq = nf
     frame = frame_of(n)
     m = method2(frame, freq, "theta")
-    singleton_foci = [mask for mask in m.focal if mask.bit_count() == 1]
+    singleton_foci = [mask for mask, _ in m.items() if mask.bit_count() == 1]
     if singleton_foci and len(m) == 2:
-        assert set(m.focal) == {singleton_foci[0], frame.full_mask}
+        assert set(dict(m.items())) == {singleton_foci[0], frame.full_mask}
 
 
 class TestMethod3:
@@ -256,7 +256,7 @@ class TestMethod3:
 def test_method3_always_valid(nf, norm, theta):
     n, freq = nf
     m = method3(frame_of(n), freq, norm, theta)
-    validate_mass(m)
+    assert_valid_mass(m)
 
 
 @settings(max_examples=150)
@@ -302,7 +302,7 @@ class TestExtractBpas:
             assert bpa.method == method
             assert set(bpa.entries) == set(table.entries)
             for m in bpa.entries.values():
-                validate_mass(m)
+                assert_valid_mass(m)
 
     def test_min_support_floor(self):
         table = self.build_table()

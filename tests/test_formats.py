@@ -11,7 +11,13 @@ from evidential.belief import BeliefInterval, Frame, MassFunction
 from evidential.correlate import CorrelationMatrix, Group, build_graph, prune_components
 from evidential.errors import DataFormatError
 from evidential.evaluate import CATEGORIES, CaseTrace, EvaluationReport, evaluate_set
-from evidential.extract import BpaSet, build_frequency_table, extract_bpas
+from evidential.extract import (
+    BpaSet,
+    FrequencyEntry,
+    FrequencyTable,
+    build_frequency_table,
+    extract_bpas,
+)
 from evidential.records import (
     CaseRecord,
     EvidenceItemId,
@@ -157,7 +163,12 @@ class TestFrequencyTableFiles:
         table = build_frequency_table(cases, intervals, ABC)
         path = tmp_path / "freq.json"
         formats.write_frequency_table(table, path)
-        assert formats.read_frequency_table(path) == table
+        doc = json.loads(path.read_text())
+        entries = {
+            EvidenceItemId(raw["parameter"], Region(raw["class"])): FrequencyEntry(tuple(raw["counts"]))
+            for raw in doc["items"]
+        }
+        assert FrequencyTable(Frame(tuple(doc["frame"])), entries) == table
 
 
 class _Bounds(NamedTuple):
