@@ -13,6 +13,7 @@ Usage:
 """
 
 import argparse
+from dataclasses import fields
 from itertools import combinations
 from pathlib import Path
 
@@ -25,27 +26,20 @@ from evidential.synth import SynthConfig, generate_cases
 
 def parse_args():
     parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("--outcomes", type=int, default=14)
-    parser.add_argument("--params", type=int, default=12)
-    parser.add_argument("--cases", type=int, default=280)
+    parser.add_argument("--outcomes", type=int, default=SynthConfig.outcomes)
+    parser.add_argument("--params", type=int, default=SynthConfig.params)
+    parser.add_argument("--cases", type=int, default=SynthConfig.cases)
     parser.add_argument("--holdout", type=int, default=40)
-    parser.add_argument("--seed", type=int, default=42)
-    parser.add_argument("--separation", type=float, default=1.5)
-    parser.add_argument("--missing-rate", type=float, default=0.1)
+    parser.add_argument("--seed", type=int, default=SynthConfig.seed)
+    parser.add_argument("--separation", type=float, default=SynthConfig.separation)
+    parser.add_argument("--missing-rate", type=float, default=SynthConfig.missing_rate)
     parser.add_argument("--out-dir", default=None, help="write reports here (optional)")
     return parser.parse_args()
 
 
 def main():
     args = parse_args()
-    config = SynthConfig(
-        outcomes=args.outcomes,
-        params=args.params,
-        cases=args.cases,
-        seed=args.seed,
-        separation=args.separation,
-        missing_rate=args.missing_rate,
-    )
+    config = SynthConfig(**{f.name: getattr(args, f.name) for f in fields(SynthConfig)})
     cases, intervals = generate_cases(config)
     split = config.cases - args.holdout
     train, test = cases[:split], cases[split:]

@@ -1,7 +1,12 @@
 """Command-line surface for the evidential reasoning pipeline.
 
+`pipeline` and the stage subcommands build their settings as one
+PipelineConfig (SynthConfig for `synth`), so both views take the same
+defaults and refuse a bad setting with the same message.
+
 Exit codes: 0 success, 1 usage error, 2 data error (unreadable or malformed
-inputs), 3 pipeline error (total conflict, or no case had usable evidence).
+inputs, or an invalid setting), 3 pipeline error (total conflict, or no case
+had usable evidence). A failed `pipeline` stage exits as its cause would.
 """
 
 from __future__ import annotations
@@ -9,7 +14,7 @@ from __future__ import annotations
 import argparse
 import csv
 import sys
-from dataclasses import fields
+from dataclasses import asdict, fields
 from pathlib import Path
 
 from . import formats
@@ -21,8 +26,8 @@ from .errors import (
     PipelineError,
     TotalConflictError,
 )
-from .evaluate import CASE_ERRORS, compare_methods, diagnose_case
-from .extract import M3_DEFAULT_VARIANT, M3_VARIANTS, METHODS
+from .evaluate import CASE_ERRORS, MatchCategory, compare_methods, diagnose_case
+from .extract import M3_VARIANTS, METHODS
 from .pipeline import EXPERT_MODES, MODIFY_MODES, PipelineConfig, run_pipeline
 from .pipeline import evaluate, extract, frequency, modify, prune
 from .synth import SynthConfig, generate_cases, parameter_names
@@ -31,6 +36,8 @@ EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_DATA = 2
 EXIT_PIPELINE = 3
+
+_DATA_ERRORS = (EvidenceError, OSError, ValueError)
 
 
 class _Parser(argparse.ArgumentParser):
@@ -45,12 +52,12 @@ def build_parser() -> _Parser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("synth", help="generate a synthetic dataset")
-    p.add_argument("--outcomes", type=int, default=14)
-    p.add_argument("--params", type=int, default=12)
-    p.add_argument("--cases", type=int, default=280)
-    p.add_argument("--seed", type=int, default=42)
-    p.add_argument("--separation", type=float, default=1.5)
-    p.add_argument("--missing-rate", type=float, default=0.1)
+    p.add_argument("--outcomes", type=int, default=SynthConfig.outcomes)
+    p.add_argument("--params", type=int, default=SynthConfig.params)
+    p.add_argument("--cases", type=int, default=SynthConfig.cases)
+    p.add_argument("--seed", type=int, default=SynthConfig.seed)
+    p.add_argument("--separation", type=float, default=SynthConfig.separation)
+    p.add_argument("--missing-rate", type=float, default=SynthConfig.missing_rate)
     p.add_argument("--holdout", type=int, default=0,
                    help="also write train/test CSVs with this many test cases")
     p.add_argument("--out-dir", required=True)
@@ -60,8 +67,8 @@ def build_parser() -> _Parser:
     p.add_argument("--cases", required=True)
     p.add_argument("--intervals", required=True)
     p.add_argument("--method", required=True, choices=METHODS)
-    p.add_argument("--m3-variant", choices=M3_VARIANTS, default=M3_DEFAULT_VARIANT)
-    p.add_argument("--min-support", type=int, default=1)
+    p.add_argument("--m3-variant", choices=M3_VARIANTS, default=PipelineConfig.m3_variant)
+    p.add_argument("--min-support", type=int, default=PipelineConfig.min_support)
     p.add_argument("--out", required=True)
     p.set_defaults(handler=cmd_extract)
 
@@ -75,8 +82,8 @@ def build_parser() -> _Parser:
     p = sub.add_parser("prune", help="screen correlated parameters within one group")
     p.add_argument("--cases", required=True)
     p.add_argument("--group", required=True, choices=[g.value for g in Group])
-    p.add_argument("--threshold", type=float, default=0.5)
-    p.add_argument("--min-pairs", type=int, default=10)
+    p.add_argument("--threshold", type=float, default=PipelineConfig.threshold)
+    p.add_argument("--min-pairs", type=int, default=PipelineConfig.min_pairs)
     p.add_argument("--out", required=True, help="JSON report path")
     p.add_argument("--removal-out", default=None,
                    help="plain-text removal list (default: <out>.params.txt)")
@@ -110,15 +117,16 @@ def build_parser() -> _Parser:
     p.add_argument("--train", required=True)
     p.add_argument("--test", required=True)
     p.add_argument("--intervals", required=True)
-    p.add_argument("--method", default="2a", choices=METHODS)
-    p.add_argument("--m3-variant", choices=M3_VARIANTS, default=M3_DEFAULT_VARIANT)
+    p.add_argument("--method", default=PipelineConfig.method, choices=METHODS)
+    p.add_argument("--m3-variant", choices=M3_VARIANTS, default=PipelineConfig.m3_variant)
     p.add_argument("--expert", default=None)
-    p.add_argument("--expert-mode", default="none", choices=EXPERT_MODES)
-    p.add_argument("--drop-params", default=None, help="text file of parameters to drop")
-    p.add_argument("--auto-prune", action="store_true")
-    p.add_argument("--threshold", type=float, default=0.5)
-    p.add_argument("--min-pairs", type=int, default=10)
-    p.add_argument("--min-support", type=int, default=1)
+    p.add_argument("--expert-mode", default=PipelineConfig.expert_mode, choices=EXPERT_MODES)
+    p.add_argument("--drop-params", default=PipelineConfig.drop_params,
+                   help="text file of parameters to drop")
+    p.add_argument("--auto-prune", action="store_true", default=PipelineConfig.auto_prune)
+    p.add_argument("--threshold", type=float, default=PipelineConfig.threshold)
+    p.add_argument("--min-pairs", type=int, default=PipelineConfig.min_pairs)
+    p.add_argument("--min-support", type=int, default=PipelineConfig.min_support)
     p.add_argument("--out-dir", required=True)
     p.set_defaults(handler=cmd_pipeline)
 
@@ -133,28 +141,22 @@ def main(argv=None) -> int:
         return int(exc.code or 0)
     try:
         return args.handler(args)
-    except PipelineError as exc:
+    except _DATA_ERRORS as exc:
         print(f"error: {exc}", file=sys.stderr)
-        if isinstance(exc.__cause__, (DataFormatError, OSError, ValueError)):
-            return EXIT_DATA
-        return EXIT_PIPELINE
-    except (TotalConflictError, NoEvidenceError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_PIPELINE
-    except (DataFormatError, EvidenceError, OSError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_DATA
+        # a failed pipeline stage exits as its cause would
+        cause = exc.__cause__ if isinstance(exc, PipelineError) else exc
+        if isinstance(cause, (TotalConflictError, NoEvidenceError)):
+            return EXIT_PIPELINE
+        return EXIT_DATA if isinstance(cause, _DATA_ERRORS) else EXIT_PIPELINE
+
+
+def _config(cls, args):
+    """A cls built from every parsed flag that names one of its fields."""
+    return cls(**{f.name: getattr(args, f.name) for f in fields(cls) if hasattr(args, f.name)})
 
 
 def cmd_synth(args) -> int:
-    config = SynthConfig(
-        outcomes=args.outcomes,
-        params=args.params,
-        cases=args.cases,
-        seed=args.seed,
-        separation=args.separation,
-        missing_rate=args.missing_rate,
-    )
+    config = _config(SynthConfig, args)
     if args.holdout < 0 or args.holdout >= config.cases:
         raise ValueError("holdout must be smaller than the case count")
     cases, intervals = generate_cases(config)
@@ -163,18 +165,7 @@ def cmd_synth(args) -> int:
     params = parameter_names(config.params)
     formats.write_case_table(cases, out / "cases.csv", params)
     formats.write_intervals(intervals, out / "intervals.csv")
-    formats.dump_json(
-        {
-            "outcomes": config.outcomes,
-            "params": config.params,
-            "cases": config.cases,
-            "seed": config.seed,
-            "separation": config.separation,
-            "missing_rate": config.missing_rate,
-            "holdout": args.holdout,
-        },
-        out / "meta.json",
-    )
+    formats.dump_json({**asdict(config), "holdout": args.holdout}, out / "meta.json")
     written = ["cases.csv", "intervals.csv", "meta.json"]
     if args.holdout:
         split = config.cases - args.holdout
@@ -186,10 +177,11 @@ def cmd_synth(args) -> int:
 
 
 def cmd_extract(args) -> int:
+    config = _config(PipelineConfig, args)
     cases = formats.parse_cases(args.cases)
     intervals = formats.parse_intervals(args.intervals)
     table = frequency(cases, intervals)
-    bpa = extract(table, args.method, args.m3_variant, args.min_support, args.out)
+    bpa = extract(table, config.method, config.m3_variant, config.min_support, args.out)
     print(f"extracted {len(bpa.entries)} evidence items ({bpa.label()}) to {args.out}")
     return EXIT_OK
 
@@ -203,12 +195,13 @@ def cmd_modify(args) -> int:
 
 
 def cmd_prune(args) -> int:
+    config = _config(PipelineConfig, args)
     params, cases = formats.parse_case_table(args.cases)
     removal_out = args.removal_out or f"{args.out}.params.txt"
-    graph, result = prune(params, cases, args.threshold, args.min_pairs, Group(args.group),
+    graph, result = prune(params, cases, config.threshold, config.min_pairs, Group(args.group),
                           args.out, removal_out)
     print(
-        f"{len(graph.edges)} edge(s) at |r| >= {args.threshold}: "
+        f"{len(graph.edges)} edge(s) at |r| >= {config.threshold}: "
         f"keep {len(result.kept)}, remove {sorted(result.removed)}"
     )
     print(f"report: {args.out}; removal list: {removal_out}")
@@ -268,7 +261,12 @@ def _read_paired(path) -> dict[str, tuple[str, str]]:
                 continue
             if len(row) != 3:
                 raise DataFormatError(f"{path}: expected 3 cells per row")
-            paired[row[0]] = (row[1], row[2])
+            case_id, cat_a, cat_b = row
+            if case_id in paired:
+                raise DataFormatError(f"{path}: case {case_id!r} is listed twice")
+            if not {cat_a, cat_b} <= {cat.value for cat in MatchCategory}:
+                raise DataFormatError(f"{path}: case {case_id!r}: categories must be PM, IM or NM")
+            paired[case_id] = (cat_a, cat_b)
     return paired
 
 
@@ -290,7 +288,7 @@ def cmd_compare(args) -> int:
 
 
 def cmd_pipeline(args) -> int:
-    config = PipelineConfig(**{f.name: getattr(args, f.name) for f in fields(PipelineConfig)})
+    config = _config(PipelineConfig, args)
     report = run_pipeline(config, args.train, args.test, args.intervals, args.expert, args.out_dir)
     print(formats.format_report_table([report]))
     print(f"artifacts in {args.out_dir}")

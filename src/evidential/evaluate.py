@@ -162,7 +162,6 @@ def evaluate_set(
     bpa: BpaSet,
     intervals: ReferenceIntervals,
     drop_params: Iterable[str] = (),
-    label: str = "",
 ) -> EvaluationReport:
     """Diagnose every case and tally match categories against the truth."""
     test_cases = list(test_cases)
@@ -191,7 +190,7 @@ def evaluate_set(
             )
         )
     return EvaluationReport(
-        label=label or bpa.label(),
+        label=bpa.label(),
         frame=bpa.frame,
         total_cases=len(test_cases),
         counts=counts,
@@ -256,7 +255,10 @@ def compare_methods(
     from one of them entirely raises CaseSetMismatchError. paired overrides
     this: case id -> (category under A, category under B). A comparison with
     zero discordant pairs is flagged degenerate and never significant.
+    Raises ValueError unless 0 < alpha < 1.
     """
+    if not 0.0 < alpha < 1.0:
+        raise ValueError("alpha must be in (0, 1)")
     if paired is None:
         cats_a, cats_b = _listed_categories(report_a), _listed_categories(report_b)
         if cats_a.keys() != cats_b.keys():

@@ -27,7 +27,11 @@ PRUNE_GROUP = Group.BIOCHEMICAL  # only tags the auto-prune report
 
 @dataclass
 class PipelineConfig:
-    """Settings of one run; each field is the `pipeline` subcommand flag of the same name."""
+    """Settings of one run: the only place each setting's default and check live.
+
+    Each field is the flag of that name on `pipeline` and on every stage
+    subcommand that takes it (`extract`, `prune`).
+    """
 
     method: str = "2a"
     m3_variant: str = M3_DEFAULT_VARIANT

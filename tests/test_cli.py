@@ -1,12 +1,13 @@
 import json
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import pytest
 
-from evidential.cli import main
+from evidential.cli import build_parser, main
 from evidential import formats
 from evidential.evaluate import MatchCategory
 from evidential.pipeline import PipelineConfig, run_pipeline
+from evidential.synth import SynthConfig
 
 
 def run(*argv):
@@ -161,38 +162,15 @@ class TestPrune:
 
 class TestCompare:
     def test_compare_reports(self, dataset, tmp_path, capsys):
-        reports = []
-        for method in ("2a", "1"):
-            bpa_path = tmp_path / f"bpa{method}.json"
-            run(
-                "extract", "--cases", str(dataset / "train.csv"),
-                "--intervals", str(dataset / "intervals.csv"),
-                "--method", method, "--out", str(bpa_path),
-            )
-            report_path = tmp_path / f"report{method}.json"
-            run(
-                "evaluate", "--bpa", str(bpa_path), "--test", str(dataset / "test.csv"),
-                "--intervals", str(dataset / "intervals.csv"), "--out", str(report_path),
-            )
-            reports.append(report_path)
+        reports = [self._report(dataset, tmp_path, method) for method in ("2a", "1")]
         capsys.readouterr()
-        code = run("compare", "--report", str(reports[0]), "--report", str(reports[1]))
+        code = run("compare", "--report", reports[0], "--report", reports[1])
         out = capsys.readouterr().out
         assert code == 0
         assert "McNemar" in out or "no discordant" in out
 
     def test_compare_with_paired_file(self, dataset, tmp_path, capsys):
-        report_path = tmp_path / "r.json"
-        bpa_path = tmp_path / "b.json"
-        run(
-            "extract", "--cases", str(dataset / "train.csv"),
-            "--intervals", str(dataset / "intervals.csv"),
-            "--method", "2a", "--out", str(bpa_path),
-        )
-        run(
-            "evaluate", "--bpa", str(bpa_path), "--test", str(dataset / "test.csv"),
-            "--intervals", str(dataset / "intervals.csv"), "--out", str(report_path),
-        )
+        report_path = self._report(dataset, tmp_path)
         paired = tmp_path / "paired.csv"
         paired.write_text(
             "case_id,category_a,category_b\n"
@@ -200,25 +178,14 @@ class TestCompare:
         )
         capsys.readouterr()
         code = run(
-            "compare", "--report", str(report_path), "--report", str(report_path),
-            "--paired", str(paired),
+            "compare", "--report", report_path, "--report", report_path, "--paired", str(paired),
         )
         out = capsys.readouterr().out
         assert code == 0
         assert "PM only under A = 10" in out
 
     def test_compare_counts_errors_as_not_pm(self, dataset, tmp_path, capsys):
-        bpa_path = tmp_path / "b.json"
-        path_a, path_b = tmp_path / "a.json", tmp_path / "b_report.json"
-        run(
-            "extract", "--cases", str(dataset / "train.csv"),
-            "--intervals", str(dataset / "intervals.csv"),
-            "--method", "2a", "--out", str(bpa_path),
-        )
-        run(
-            "evaluate", "--bpa", str(bpa_path), "--test", str(dataset / "test.csv"),
-            "--intervals", str(dataset / "intervals.csv"), "--out", str(path_a),
-        )
+        path_a, path_b = self._report(dataset, tmp_path), tmp_path / "b_report.json"
         # B lists as errors three cases that A diagnosed as PM
         report = formats.read_report(path_a)
         failed = [t for t in report.traces if t.category == MatchCategory.PM][:3]
@@ -233,10 +200,46 @@ class TestCompare:
             path_b,
         )
         capsys.readouterr()
-        code = run("compare", "--report", str(path_a), "--report", str(path_b))
+        code = run("compare", "--report", path_a, "--report", str(path_b))
         out = capsys.readouterr().out
         assert code == 0
         assert "PM only under A = 3, PM only under B = 0" in out
+
+    @pytest.mark.parametrize("rows", [
+        ["x1,PM,banana", "x2,NM,NM"],
+        ["x1,PM,NM", "x2,pm,NM"],
+        ["x1,PM,NM", "x2,NM,NM", "x1,NM,NM"],
+    ], ids=["unknown-category", "lower-case-category", "repeated-case"])
+    def test_compare_refuses_bad_paired_file(self, dataset, tmp_path, capsys, rows):
+        report = self._report(dataset, tmp_path)
+        paired = tmp_path / "paired.csv"
+        paired.write_text("case_id,category_a,category_b\n" + "\n".join(rows) + "\n")
+        capsys.readouterr()
+        assert run("compare", "--report", report, "--report", report,
+                   "--paired", str(paired)) == 2
+        assert str(paired) in capsys.readouterr().err
+
+    @pytest.mark.parametrize("alpha", ["5.0", "1", "0", "-0.05"])
+    def test_compare_refuses_alpha_outside_unit_interval(self, dataset, tmp_path, capsys, alpha):
+        report = self._report(dataset, tmp_path)
+        capsys.readouterr()
+        assert run("compare", "--report", report, "--report", report, "--alpha", alpha) == 2
+        assert "alpha must be in (0, 1)" in capsys.readouterr().err
+
+    @staticmethod
+    def _report(dataset, tmp_path, method="2a"):
+        """Extract with method, evaluate on the test cases; the report's path."""
+        bpa_path, report_path = tmp_path / f"bpa{method}.json", tmp_path / f"report{method}.json"
+        assert run(
+            "extract", "--cases", str(dataset / "train.csv"),
+            "--intervals", str(dataset / "intervals.csv"),
+            "--method", method, "--out", str(bpa_path),
+        ) == 0
+        assert run(
+            "evaluate", "--bpa", str(bpa_path), "--test", str(dataset / "test.csv"),
+            "--intervals", str(dataset / "intervals.csv"), "--out", str(report_path),
+        ) == 0
+        return str(report_path)
 
 
 class TestExitCodes:
@@ -290,6 +293,94 @@ class TestExitCodes:
             "diagnose", "--bpa", str(bpa_path), "--case", str(cases),
             "--intervals", str(intervals),
         ) == 3
+
+
+class TestBothViewsAgree:
+    """A stage subcommand and `pipeline` refuse the same setting or input
+    with the same exit code and message."""
+
+    def pipeline(self, dataset, tmp_path, capsys, *flags):
+        capsys.readouterr()
+        code = run(
+            "pipeline", "--train", str(dataset / "train.csv"), "--test", str(dataset / "test.csv"),
+            "--intervals", str(dataset / "intervals.csv"), *flags,
+            "--out-dir", str(tmp_path / "pipe"),
+        )
+        return code, capsys.readouterr().err
+
+    @pytest.mark.parametrize("value", ["0", "-5"])
+    def test_min_support_below_one(self, dataset, tmp_path, capsys, value):
+        capsys.readouterr()
+        assert run(
+            "extract", "--cases", str(dataset / "train.csv"),
+            "--intervals", str(dataset / "intervals.csv"), "--method", "2a",
+            "--min-support", value, "--out", str(tmp_path / "bpa.json"),
+        ) == 2
+        stage_err = capsys.readouterr().err
+        assert not (tmp_path / "bpa.json").exists()
+        assert "min_support must be at least 1" in stage_err
+        assert self.pipeline(dataset, tmp_path, capsys, "--min-support", value) == (2, stage_err)
+
+    @pytest.mark.parametrize("value", ["1", "0"])
+    def test_min_pairs_below_two(self, dataset, tmp_path, capsys, value):
+        capsys.readouterr()
+        assert run(
+            "prune", "--cases", str(dataset / "train.csv"), "--group", "biochem",
+            "--min-pairs", value, "--out", str(tmp_path / "prune.json"),
+        ) == 2
+        stage_err = capsys.readouterr().err
+        assert not (tmp_path / "prune.json").exists()
+        assert "min_pairs must be at least 2" in stage_err
+        code, err = self.pipeline(dataset, tmp_path, capsys, "--auto-prune", "--min-pairs", value)
+        assert (code, err) == (2, stage_err)
+
+    def test_expert_table_on_another_frame(self, dataset, tmp_path, capsys):
+        expert = tmp_path / "expert.json"
+        expert.write_text(json.dumps({"method": "expert", "frame": ["x", "y"], "items": [
+            {"parameter": "P01", "class": "below", "focal": [{"subset": ["x"], "mass": 1.0}]},
+        ]}))
+        bpa = tmp_path / "bpa.json"
+        assert run("extract", "--cases", str(dataset / "train.csv"),
+                   "--intervals", str(dataset / "intervals.csv"), "--method", "2a",
+                   "--out", str(bpa)) == 0
+        capsys.readouterr()
+        assert run("modify", "--bpa", str(bpa), "--expert", str(expert), "--mode", "part",
+                   "--out", str(tmp_path / "modified.json")) == 2
+        stage_err = capsys.readouterr().err
+        assert stage_err.startswith("error: ")
+        code, err = self.pipeline(dataset, tmp_path, capsys,
+                                  "--expert", str(expert), "--expert-mode", "part")
+        assert (code, err) == (2, stage_err.replace("error: ", "error: stage 'expert' failed: "))
+
+
+# the required flags of each subcommand that builds a config, and that config
+CONFIG_COMMANDS = {
+    "synth": (SynthConfig, ["--out-dir", "o"]),
+    "extract": (PipelineConfig, ["--cases", "c", "--intervals", "i", "--method", "1",
+                                 "--out", "o"]),
+    "prune": (PipelineConfig, ["--cases", "c", "--group", "biochem", "--out", "o"]),
+    "pipeline": (PipelineConfig, ["--train", "t", "--test", "e", "--intervals", "i",
+                                  "--out-dir", "o"]),
+}
+DEFAULTED_FIELDS = {
+    "synth": {f.name for f in fields(SynthConfig)},
+    "extract": {"m3_variant", "min_support"},
+    "prune": {"threshold", "min_pairs"},
+    "pipeline": {f.name for f in fields(PipelineConfig)},
+}
+
+
+@pytest.mark.parametrize("command", sorted(CONFIG_COMMANDS))
+def test_flag_defaults_are_the_config_defaults(command):
+    cls, required = CONFIG_COMMANDS[command]
+    args = build_parser().parse_args([command, *required])
+    defaulted = {
+        f.name for f in fields(cls)
+        if hasattr(args, f.name) and f"--{f.name.replace('_', '-')}" not in required
+    }
+    assert defaulted == DEFAULTED_FIELDS[command]
+    for name in defaulted:
+        assert getattr(args, name) == getattr(cls(), name), name
 
 
 class TestPipeline:
