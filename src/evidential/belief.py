@@ -175,6 +175,23 @@ class MassFunction:
         self._combinations: dict | None = None
 
     @classmethod
+    def _normalised(cls, frame: Frame, masses: dict[Mask, float]) -> "MassFunction":
+        """Trusted constructor for masses that are normalised by construction.
+
+        masses maps int masks on frame to non-negative floats, none on the
+        empty set, with an fsum within 1e-12 of 1: what __init__ would keep
+        verbatim. Zero masses are dropped as __init__ drops them; nothing else
+        is checked.
+        """
+        self = cls.__new__(cls)
+        self.frame = frame
+        self._focal = {mask: value for mask, value in masses.items() if value}
+        self._q = None
+        self._intervals = None
+        self._combinations = None
+        return self
+
+    @classmethod
     def vacuous(cls, frame: Frame) -> "MassFunction":
         """Total ignorance: all mass on the whole frame."""
         return cls(frame, {frame.full_mask: 1.0})

@@ -2,12 +2,15 @@
 
 Two equivalent paths are provided. The sparse path intersects focal pairs
 directly and is right whenever focal sets stay small. The dense path
-multiplies the operands' commonality vectors over the whole subset lattice
-pointwise and inverts the product back to masses. Each mass function caches
-its commonality vector, so an operand costs one O(n * 2^n) transform over its
-lifetime; each combination then costs O(2^n) per operand plus one O(n * 2^n)
-inversion, regardless of focal count. That wins once operands carry many foci
-(dense all-subsets assignments in particular) or recur across many cases.
+multiplies the operands' commonality vectors pointwise and inverts the
+product back to masses. Every focal set of a combination lies inside the
+common core C, the intersection of the operands' cores (a core is the union
+of an operand's focal sets), so the dense path works on the 2^c subsets of
+C alone, where c = |C|. Each mass function caches its commonality vector, so
+an operand costs one O(n * 2^n) transform over its lifetime; each
+combination then costs O(2^c) per operand plus one O(c * 2^c) inversion,
+regardless of focal count. That wins once operands carry many foci (dense
+all-subsets assignments in particular) or recur across many cases.
 
 Both paths share one rule (Shafer 1976, ch. 3), applied by _renormalised.
 The conflict k is the product mass that falls on the empty set. The surviving
@@ -40,6 +43,7 @@ from .errors import FrameMismatchError, TotalConflictError
 
 _MIN_SURVIVING_MASS = 1e-12  # surviving mass at or below this is total conflict
 _DENSE_NOISE_FLOOR = 1e-15   # Mobius round-off cutoff, relative to 1 - k
+_SINGLETONS = 1 << np.arange(lattice.DENSE_MAX_OUTCOMES)  # mask of each one-outcome subset
 
 
 @dataclass(frozen=True)
@@ -63,12 +67,15 @@ def _renormalised(frame: Frame, raw: dict[Mask, float], conflict: float) -> Comb
 
     Divides by the fsum of raw, the surviving mass this combination actually
     recovered, and raises TotalConflictError when 1 - conflict or that sum is
-    at most _MIN_SURVIVING_MASS.
+    at most _MIN_SURVIVING_MASS. The quotients sum to 1 by construction, so
+    the result skips MassFunction's validating constructor.
     """
     surviving = math.fsum(raw.values())
     if min(1.0 - conflict, surviving) <= _MIN_SURVIVING_MASS:
         raise TotalConflictError("all product mass fell on the empty set", conflict=conflict)
-    combined = MassFunction(frame, {mask: value / surviving for mask, value in raw.items()})
+    combined = MassFunction._normalised(
+        frame, {mask: value / surviving for mask, value in raw.items()}
+    )
     return CombinationResult(combined, conflict)
 
 
@@ -161,7 +168,7 @@ def _prefer_dense(ms: Sequence[MassFunction], frame: Frame) -> bool:
 
 
 def fast_combine_via_commonality(ms: Sequence[MassFunction]) -> CombinationResult:
-    """Combine by multiplying commonality vectors over the subset lattice.
+    """Combine by multiplying commonality vectors over the common core's lattice.
 
     Equivalent to the pairwise fold: the unnormalized combination's
     commonality is the pointwise product of the operands' commonalities, and
@@ -173,9 +180,16 @@ def fast_combine_via_commonality(ms: Sequence[MassFunction]) -> CombinationResul
     their fsum, and the result is total conflict when 1 - k or that sum is at
     most 1e-12: the same rule as the sparse fold.
 
+    Only the subsets of the common core C are multiplied and inverted; C is
+    read off the cached vectors as the outcomes x with Q_i({x}) > 0 for every
+    operand. Q_i(B) is exactly +0.0 for every B that is not a subset of C,
+    so each step of a whole-frame inversion that reaches a subset of C from
+    outside it subtracts +0.0, and the result is bit for bit the whole-frame
+    one. An empty core is total conflict with k = prod Q_i(empty set).
+
     Cost: one O(n * 2^n) transform per distinct operand over its lifetime
-    (MassFunction.commonality_vector caches it), plus O(2^n) per operand
-    and one O(n * 2^n) inversion per call.
+    (MassFunction.commonality_vector caches it), plus O(2^c) per operand
+    and one O(c * 2^c) inversion per call, where c = |C|.
     """
     ms = list(ms)
     if not ms:
@@ -187,11 +201,33 @@ def fast_combine_via_commonality(ms: Sequence[MassFunction]) -> CombinationResul
     # refused by commonality_vector's size check without touching memory.
     commonalities = [m.commonality_vector() for m in ms]
     n = frame.n
-    product = np.ones(1 << n)
+    singletons = _SINGLETONS[:n]
+    core_bits = singletons[np.minimum.reduce([q[singletons] for q in commonalities]) > 0.0]
+    c = len(core_bits)
+    # masks[j] is the frame mask of the j-th subset of the core; None when the
+    # core is the whole frame and the index is the mask itself.
+    masks = None if c == n else _core_subsets(core_bits)
+    product = np.ones(1 << c)
     for q in commonalities:
-        product *= q
-    lattice.superset_diff(product, n)
+        product *= q if masks is None else q[masks]
+    if c:
+        lattice.superset_diff(product, c)
     conflict = float(product[0])
     floor = _DENSE_NOISE_FLOOR * (1.0 - conflict)
-    raw = {int(mask): float(product[mask]) for mask in np.nonzero(product > floor)[0] if mask}
+    kept = np.flatnonzero(product > floor)
+    keys = kept if masks is None else masks[kept]
+    raw = dict(zip(keys.tolist(), product[kept].tolist()))
+    raw.pop(0, None)
     return _renormalised(frame, raw, conflict)
+
+
+def _core_subsets(core_bits: np.ndarray) -> np.ndarray:
+    """Frame masks of all subsets of a core, given its bits in ascending order.
+
+    Entry j deposits the bits of j onto the core's bits, so the masks ascend
+    with j and bit k of j stands for core_bits[k].
+    """
+    masks = np.zeros(1 << len(core_bits), dtype=np.intp)
+    for k, bit in enumerate(core_bits.tolist()):
+        masks[1 << k: 2 << k] = masks[: 1 << k] | bit
+    return masks

@@ -36,6 +36,18 @@ class CorrelationMatrix:
         return self.coefficients.get((a, b))
 
 
+def check_min_pairs(min_pairs: int) -> None:
+    """A coefficient needs at least two shared cases."""
+    if min_pairs < 2:
+        raise ValueError("min_pairs must be at least 2")
+
+
+def check_threshold(threshold: float) -> None:
+    """An edge threshold is a coefficient magnitude in (0, 1]."""
+    if not 0.0 < threshold <= 1.0:
+        raise ValueError(f"threshold must be in (0, 1], got {threshold}")
+
+
 def pearson_matrix(
     cases: Sequence[CaseRecord], params: Sequence[str], min_pairs: int = 10
 ) -> CorrelationMatrix:
@@ -45,6 +57,7 @@ def pearson_matrix(
     or when either column is constant on the shared cases. Insufficient data
     is not an error; it just leaves the pair undefined.
     """
+    check_min_pairs(min_pairs)
     params = tuple(params)
     if not params:
         raise ValueError("no parameters to correlate")
@@ -83,8 +96,7 @@ def build_graph(
     matrix: CorrelationMatrix, threshold: float = 0.5, group: Group = Group.BIOCHEMICAL
 ) -> CorrelationGraph:
     """Keep an edge for every pair whose coefficient magnitude reaches threshold."""
-    if not 0.0 < threshold <= 1.0:
-        raise ValueError(f"threshold must be in (0, 1], got {threshold}")
+    check_threshold(threshold)
     group = Group(group)
     edges = tuple(
         (a, b, r)

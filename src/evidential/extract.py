@@ -291,6 +291,12 @@ class BpaSet:
         )
 
 
+def check_min_support(min_support: int) -> None:
+    """Every table entry has at least one observation, so a floor below 1 is a mistake."""
+    if min_support < 1:
+        raise ValueError("min_support must be at least 1")
+
+
 def extract_bpas(
     table: FrequencyTable,
     method: str,
@@ -306,6 +312,7 @@ def extract_bpas(
     """
     if method not in METHODS:
         raise ValueError(f"method must be one of {METHODS}, got {method!r}")
+    check_min_support(min_support)
     entries: dict[EvidenceItemId, MassFunction] = {}
     for item in sorted(table.entries):
         entry = table.entries[item]

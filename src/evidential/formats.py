@@ -260,9 +260,16 @@ def write_report(report: EvaluationReport, path) -> None:
             return
         # "traces" is the header's last key, so it ends in `"traces": []\n}`.
         fh.write(head[: -len("[]\n}")] + "[\n")
+        # Traces whose cases combined to one mass function share its interval
+        # tuple; its text is made once. Keyed by id, which stays the tuple's
+        # own while the report holds every trace.
+        intervals_text: dict[int, str | None] = {}
         separator = ""
         for trace in report.traces:
-            fh.write(separator + _trace_text(trace))
+            key = id(trace.intervals)
+            if key not in intervals_text:
+                intervals_text[key] = _intervals_text(trace.intervals)
+            fh.write(separator + _trace_text(trace, intervals_text[key]))
             separator = ",\n"
         fh.write("\n  ]\n}\n")
 
@@ -270,24 +277,23 @@ def write_report(report: EvaluationReport, path) -> None:
 _BOUNDS = attrgetter("lower", "upper")
 
 
-def _trace_text(trace: CaseTrace) -> str:
-    """One trace as json.dumps(indent=2) writes it inside the traces list.
+def _trace_text(trace: CaseTrace, intervals: str | None) -> str:
+    """One trace as json.dumps(indent=2) writes it inside the traces list,
+    given the text of its intervals (None when they are not finite floats).
 
     Strings go through json's own C escaper and finite floats through
     float.__repr__, which is what json.dumps writes for them. The category
     and the regions are str enums, so their text is their value. A trace with
     any other value (NaN, an infinity, an int) falls back to json.dumps."""
-    bounds = [*chain.from_iterable(map(_BOUNDS, trace.intervals))]
-    template = _trace_template(
-        len(trace.observed_labels), len(trace.intervals), len(trace.evidence_used)
-    )
+    template = _trace_template(len(trace.observed_labels), len(trace.evidence_used))
     try:
-        if not math.isfinite(sum(bounds, trace.observed_mass + trace.conflict)):
+        if intervals is None or not math.isfinite(trace.observed_mass + trace.conflict):
             raise ValueError("non-finite float")
         return template % (
             *map(_encode_str, (trace.case_id, trace.expected, trace.category)),
             *map(_encode_str, trace.observed_labels),
-            *map(float.__repr__, (trace.observed_mass, trace.conflict, *bounds)),
+            *map(float.__repr__, (trace.observed_mass, trace.conflict)),
+            intervals,
             *map(_encode_str, chain.from_iterable(trace.evidence_used)),
         )
     except (TypeError, ValueError):
@@ -295,27 +301,43 @@ def _trace_text(trace: CaseTrace) -> str:
         return "    " + text.replace("\n", "\n    ")
 
 
+def _intervals_text(intervals) -> str | None:
+    """A trace's intervals list as json.dumps(indent=2) writes it there, or
+    None when a bound is not a finite float."""
+    bounds = [*chain.from_iterable(map(_BOUNDS, intervals))]
+    try:
+        if not math.isfinite(sum(bounds)):
+            return None
+        return _list_template(len(intervals), _PAIR) % tuple(map(float.__repr__, bounds))
+    except TypeError:
+        return None
+
+
+_PAIR = "[\n          %s,\n          %s\n        ]"
+
+
 @functools.lru_cache(maxsize=1024)
-def _trace_template(observed: int, intervals: int, evidence: int) -> str:
+def _list_template(count: int, item: str) -> str:
+    """A list of count items inside a trace, each item a %-template."""
+    if not count:
+        return "[]"
+    return "[\n" + ",\n".join([" " * 8 + item] * count) + "\n      ]"
+
+
+@functools.lru_cache(maxsize=1024)
+def _trace_template(observed: int, evidence: int) -> str:
     """The %-template of one trace with these list lengths; every value is a
-    %s slot, filled in field order."""
-
-    def items(count: int, item: str) -> str:
-        if not count:
-            return "[]"
-        return "[\n" + ",\n".join([" " * 8 + item] * count) + "\n      ]"
-
-    pair = "[\n          %s,\n          %s\n        ]"
+    %s slot, filled in field order, and the intervals list is one slot."""
     return (
         "    {\n"
         '      "case_id": %s,\n'
         '      "expected": %s,\n'
         '      "category": %s,\n'
-        f'      "observed": {items(observed, "%s")},\n'
+        f'      "observed": {_list_template(observed, "%s")},\n'
         '      "observed_mass": %s,\n'
         '      "conflict": %s,\n'
-        f'      "intervals": {items(intervals, pair)},\n'
-        f'      "evidence_used": {items(evidence, pair)}\n'
+        '      "intervals": %s,\n'
+        f'      "evidence_used": {_list_template(evidence, _PAIR)}\n'
         "    }"
     )
 

@@ -13,12 +13,13 @@ from pathlib import Path
 
 from . import formats
 from .belief import Frame
-from .correlate import Group, build_graph, pearson_matrix, prune_components
+from .correlate import Group, build_graph, check_min_pairs, check_threshold, pearson_matrix
+from .correlate import prune_components
 from .errors import PipelineError
 from .evaluate import EvaluationReport, evaluate_set
 from .expert import all_modify, part_modify
 from .extract import M3_DEFAULT_VARIANT, M3_VARIANTS, METHODS, BpaSet, FrequencyTable
-from .extract import build_frequency_table, extract_bpas
+from .extract import build_frequency_table, check_min_support, extract_bpas
 
 MODIFY_MODES = ("part", "all")
 EXPERT_MODES = ("none", *MODIFY_MODES)
@@ -27,10 +28,12 @@ PRUNE_GROUP = Group.BIOCHEMICAL  # only tags the auto-prune report
 
 @dataclass
 class PipelineConfig:
-    """Settings of one run: the only place each setting's default and check live.
+    """Settings of one run: the only place each setting's default lives.
 
     Each field is the flag of that name on `pipeline` and on every stage
-    subcommand that takes it (`extract`, `prune`).
+    subcommand that takes it (`extract`, `prune`). The range checks are the
+    library's own (check_threshold, check_min_pairs, check_min_support), run
+    here too so that a bad setting is refused before any input is read.
     """
 
     method: str = "2a"
@@ -51,12 +54,9 @@ class PipelineConfig:
             raise ValueError(f"expert_mode must be one of {EXPERT_MODES}")
         if self.auto_prune and self.drop_params:
             raise ValueError("give either --auto-prune or --drop-params, not both")
-        if not 0.0 < self.threshold <= 1.0:
-            raise ValueError("threshold must be in (0, 1]")
-        if self.min_pairs < 2:
-            raise ValueError("min_pairs must be at least 2")
-        if self.min_support < 1:
-            raise ValueError("min_support must be at least 1")
+        check_threshold(self.threshold)
+        check_min_pairs(self.min_pairs)
+        check_min_support(self.min_support)
 
 
 def frame_of(train_cases) -> Frame:

@@ -12,11 +12,14 @@ import math
 import numpy as np
 from hypothesis import strategies as st
 
+from evidential import lattice
 from evidential.belief import Frame, MassFunction
+from evidential.combine import CombinationResult
+from evidential.errors import TotalConflictError
 from evidential.extract import build_frequency_table, extract_bpas
 from evidential.synth import SynthConfig, generate_cases
 
-LABELS = tuple("abcdefgh")
+LABELS = tuple("abcdefghijkl")
 
 
 def frame_of(n: int) -> Frame:
@@ -73,6 +76,27 @@ def combine_oracle(m1: MassFunction, m2: MassFunction) -> tuple[dict[int, float]
     if scale <= 1e-12:
         return {}, conflict
     return {mask: v / scale for mask, v in products.items()}, conflict
+
+
+def full_lattice_combine(ms: list[MassFunction]) -> CombinationResult:
+    """The dense path as it was before it was restricted to the common core:
+    multiply every operand's commonality vector over the whole 2^n lattice,
+    invert it, and renormalise through the validating constructor."""
+    if len(ms) == 1:
+        return CombinationResult(ms[0], 0.0)
+    n = ms[0].frame.n
+    product = np.ones(1 << n)
+    for m in ms:
+        product *= m.commonality_vector()
+    lattice.superset_diff(product, n)
+    conflict = float(product[0])
+    floor = 1e-15 * (1.0 - conflict)
+    raw = {int(mask): float(product[mask]) for mask in np.nonzero(product > floor)[0] if mask}
+    surviving = math.fsum(raw.values())
+    if min(1.0 - conflict, surviving) <= 1e-12:
+        raise TotalConflictError("all product mass fell on the empty set", conflict=conflict)
+    combined = MassFunction(ms[0].frame, {mask: value / surviving for mask, value in raw.items()})
+    return CombinationResult(combined, conflict)
 
 
 def max_mass_diff(m1: MassFunction, m2: MassFunction) -> float:

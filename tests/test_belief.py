@@ -5,7 +5,7 @@ import threading
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from evidential.belief import BeliefInterval, Frame, MassFunction
@@ -111,6 +111,35 @@ class TestConstruction:
     def test_frame_mismatch_on_foreign_mask(self):
         with pytest.raises(FrameMismatchError):
             MassFunction(ABC, {0b10000: 1.0})
+
+
+@st.composite
+def _renormalised_masses(draw):
+    """A frame and masses divided by their fsum, as a combination builds them:
+    zeros (also on the empty set) and subnormal values included."""
+    frame = frame_of(draw(st.integers(1, 8)))
+    weight = st.one_of(
+        st.just(0.0), st.floats(5e-324, 1e-300), st.floats(1e-9, 1.0, allow_nan=False)
+    )
+    raw = draw(st.dictionaries(st.integers(1, frame.full_mask), weight, min_size=1, max_size=12))
+    surviving = math.fsum(raw.values())
+    assume(surviving > 0.0)
+    masses = {mask: value / surviving for mask, value in raw.items()}
+    if draw(st.booleans()):
+        masses[0] = 0.0
+    return frame, masses
+
+
+@settings(max_examples=200)
+@given(_renormalised_masses())
+def test_trusted_constructor_equals_validating_one(case):
+    frame, masses = case
+    trusted = MassFunction._normalised(frame, masses)
+    validated = MassFunction(frame, masses)
+    assert trusted == validated
+    assert list(trusted.items()) == list(validated.items())
+    assert np.array_equal(trusted.commonality_vector(), validated.commonality_vector())
+    assert trusted.singleton_intervals() == validated.singleton_intervals()
 
 
 class TestFunctionals:

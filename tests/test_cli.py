@@ -334,6 +334,19 @@ class TestBothViewsAgree:
         code, err = self.pipeline(dataset, tmp_path, capsys, "--auto-prune", "--min-pairs", value)
         assert (code, err) == (2, stage_err)
 
+    @pytest.mark.parametrize("value", ["0", "1.5"])
+    def test_threshold_outside_unit_interval(self, dataset, tmp_path, capsys, value):
+        capsys.readouterr()
+        assert run(
+            "prune", "--cases", str(dataset / "train.csv"), "--group", "biochem",
+            "--threshold", value, "--out", str(tmp_path / "prune.json"),
+        ) == 2
+        stage_err = capsys.readouterr().err
+        assert not (tmp_path / "prune.json").exists()
+        assert f"threshold must be in (0, 1], got {float(value)}" in stage_err
+        code, err = self.pipeline(dataset, tmp_path, capsys, "--auto-prune", "--threshold", value)
+        assert (code, err) == (2, stage_err)
+
     def test_expert_table_on_another_frame(self, dataset, tmp_path, capsys):
         expert = tmp_path / "expert.json"
         expert.write_text(json.dumps({"method": "expert", "frame": ["x", "y"], "items": [

@@ -1,5 +1,7 @@
+import functools
 import gc
 import math
+import operator
 import weakref
 
 import numpy as np
@@ -21,6 +23,7 @@ from evidential import combine, lattice
 from helpers import (
     combine_oracle,
     frame_of,
+    full_lattice_combine,
     heavy_conflict_folds,
     mass_function_lists,
     masses_on,
@@ -248,6 +251,118 @@ def test_auto_path_agrees_with_sparse(ms):
         assume(False)
     auto = combine_all(ms, path="auto")
     assert max_mass_diff(sparse.combined, auto.combined) <= 1e-9
+
+
+def _submasks(mask):
+    """Every non-empty subset of mask."""
+    sub = mask
+    while sub:
+        yield sub
+        sub = (sub - 1) & mask
+
+
+def _core_operand(frame, rng, kind):
+    """One operand whose focal sets lie inside a random core: the whole frame
+    a third of the time, otherwise a random non-empty subset of it."""
+    full = frame.full_mask
+    core = full if rng.random() < 1 / 3 else int(rng.integers(1, full + 1))
+    bits = [1 << i for i in range(frame.n) if core >> i & 1]
+    if kind == "consonant":
+        order = rng.permutation(bits).tolist()
+        chain = np.cumsum(order).tolist()
+        cut = sorted(set(rng.integers(0, len(chain), size=3).tolist()) | {len(chain) - 1})
+        foci = [chain[i] for i in cut]
+    elif kind == "all-subsets":
+        foci = list(_submasks(core))
+    elif kind == "conflict":
+        small = [mask for mask in _submasks(core) if mask.bit_count() <= 2][:64]
+        foci = rng.choice(small, size=min(int(rng.integers(1, 4)), len(small)), replace=False)
+    else:
+        subsets = list(_submasks(core))[:512]
+        foci = [*rng.choice(subsets, size=min(int(rng.integers(1, 6)), len(subsets))), core]
+    foci = sorted(set(int(f) for f in foci))
+    weights = 10.0 ** -rng.uniform(0.0, 8.0 if kind == "conflict" else 1.0, size=len(foci))
+    weights /= weights.sum()
+    return MassFunction(frame, dict(zip(foci, weights.tolist())))
+
+
+def _outcome(combine, ms):
+    """Everything a caller can see of a combination: its items in order and
+    the repr of its conflict, or the conflict of the TotalConflictError."""
+    try:
+        result = combine(ms)
+    except TotalConflictError as exc:
+        return "total", repr(exc.conflict)
+    return list(result.combined.items()), repr(result.conflict)
+
+
+def _core_operand_lists(seed, per_n):
+    """per_n lists of 2-5 operands for each n = 1-12, half of one kind each."""
+    rng = np.random.default_rng(seed)
+    kinds = ["consonant", "restricted", "all-subsets", "conflict"]
+    for n in range(1, 13):
+        frame = frame_of(n)
+        for _ in range(per_n):
+            count = int(rng.integers(2, 6))
+            if rng.random() < 0.5:
+                picked = rng.choice(kinds, size=count).tolist()
+            else:
+                picked = [kinds[int(rng.integers(0, len(kinds)))]] * count
+            yield [_core_operand(frame, rng, kind) for kind in picked]
+
+
+def _common_core(ms):
+    """Intersection of the operands' unions of focal sets, from the foci."""
+    core = ms[0].frame.full_mask
+    for m in ms:
+        core &= functools.reduce(operator.or_, (mask for mask, _ in m.items()))
+    return core
+
+
+class TestCommonCore:
+    """The dense path on the common core gives the whole-lattice path's bits."""
+
+    def test_matches_full_lattice_bit_for_bit(self):
+        totals = cores = whole = 0
+        for ms in _core_operand_lists(seed=14, per_n=40):
+            expected = _outcome(full_lattice_combine, ms)
+            assert _outcome(fast_combine_via_commonality, ms) == expected
+            core = _common_core(ms)
+            totals += expected[0] == "total"
+            cores += core == 0
+            whole += core == ms[0].frame.full_mask
+        # the sweep reaches total conflict, empty cores and whole-frame cores
+        assert min(totals, cores, whole) >= 20
+
+    def test_heavy_conflict_folds_match_full_lattice(self):
+        for ms in heavy_conflict_folds(seed=23, count=300):
+            assert _outcome(fast_combine_via_commonality, ms) == _outcome(full_lattice_combine, ms)
+
+    def test_empty_core_is_total_conflict(self):
+        frame = frame_of(4)
+        m1 = MassFunction(frame, {0b0001: 0.5, 0b0011: 0.5})
+        m2 = MassFunction(frame, {0b0100: 0.25, 0b1100: 0.75})
+        with pytest.raises(TotalConflictError) as err:
+            fast_combine_via_commonality([m1, m2])
+        q1, q2 = m1.commonality_vector(), m2.commonality_vector()
+        assert repr(err.value.conflict) == repr(float(1.0 * q1[0] * q2[0]))
+        assert _outcome(full_lattice_combine, [m1, m2]) == ("total", repr(err.value.conflict))
+
+    def test_inverts_on_the_core_only(self, monkeypatch):
+        sizes = []
+        transform = lattice.superset_diff
+
+        def spy(arr, n):
+            assert n > 0 and len(arr) == 1 << n
+            sizes.append(n)
+            transform(arr, n)
+
+        monkeypatch.setattr(lattice, "superset_diff", spy)
+        for ms in _core_operand_lists(seed=5, per_n=10):
+            core = _common_core(ms)
+            sizes.clear()
+            _outcome(fast_combine_via_commonality, ms)
+            assert sizes == ([core.bit_count()] if core else [])
 
 
 def _combine_or_none(ms, path):

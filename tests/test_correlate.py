@@ -48,6 +48,12 @@ class TestPearson:
         assert pearson_matrix(cases, ["A", "B"], min_pairs=10).get("A", "B") is None
         assert pearson_matrix(cases, ["A", "B"], min_pairs=9).get("A", "B") is not None
 
+    @pytest.mark.parametrize("min_pairs", [1, 0, -3])
+    def test_min_pairs_below_two_rejected(self, min_pairs):
+        cases = cases_from_columns({"A": [1.0, 2.0, 3.0], "B": [2.0, 1.0, 3.0]})
+        with pytest.raises(ValueError, match="^min_pairs must be at least 2$"):
+            pearson_matrix(cases, ["A", "B"], min_pairs=min_pairs)
+
     def test_pairwise_complete(self):
         # the row with the missing value must not poison the complete pairs
         a = [1.0, 2.0, 3.0, 4.0, 5.0, 6.0, 7.0, 8.0, 9.0, 10.0, None]
@@ -79,10 +85,10 @@ class TestBuildGraph:
 
     def test_threshold_validation(self):
         matrix = CorrelationMatrix(("A",), {})
-        with pytest.raises(ValueError):
-            build_graph(matrix, 0.0)
-        with pytest.raises(ValueError):
-            build_graph(matrix, 1.5)
+        for threshold in (0.0, -0.2, 1.5):
+            with pytest.raises(ValueError) as err:
+                build_graph(matrix, threshold)
+            assert str(err.value) == f"threshold must be in (0, 1], got {threshold}"
 
 
 class TestPruneComponents:

@@ -310,6 +310,11 @@ class TestExtractBpas:
         assert EvidenceItemId("AALB", Region.ABOVE) not in bpa.entries
         assert EvidenceItemId("AALB", Region.BELOW) in bpa.entries
 
+    @pytest.mark.parametrize("min_support", [0, -5])
+    def test_min_support_below_one_rejected(self, min_support):
+        with pytest.raises(ValueError, match="^min_support must be at least 1$"):
+            extract_bpas(self.build_table(), "1", min_support=min_support)
+
     def test_unknown_method(self):
         with pytest.raises(ValueError, match="method"):
             extract_bpas(self.build_table(), "4")

@@ -196,6 +196,9 @@ def _reports(draw) -> EvaluationReport:
         st.builds(_Bounds, _floats, _floats),
     )
     evidence = st.builds(EvidenceItemId, _texts, st.sampled_from(Region))
+    # Traces of cases that combined to one mass function share one tuple.
+    intervals = st.lists(interval, max_size=4).map(tuple)
+    shared = draw(st.lists(intervals, min_size=1, max_size=3))
     trace = st.builds(
         CaseTrace,
         case_id=_texts,
@@ -204,7 +207,7 @@ def _reports(draw) -> EvaluationReport:
         observed_labels=st.lists(st.sampled_from(labels), max_size=4).map(tuple),
         observed_mass=_floats,
         conflict=_floats,
-        intervals=st.lists(interval, max_size=4).map(tuple),
+        intervals=st.one_of(st.sampled_from(shared), intervals),
         evidence_used=st.lists(evidence, max_size=3).map(tuple),
     )
     return EvaluationReport(
@@ -212,25 +215,28 @@ def _reports(draw) -> EvaluationReport:
         frame=Frame(tuple(labels)),
         total_cases=draw(st.integers(0, 10**6)),
         counts={cat: draw(st.integers(0, 3)) for cat in CATEGORIES},
-        traces=tuple(draw(st.lists(trace, max_size=4))),
+        traces=tuple(draw(st.lists(trace, max_size=6))),
         errors=tuple(draw(st.lists(st.tuples(_texts, _texts), max_size=3))),
     )
 
 
 # No traces, no errors, no percentages; then an all-vacuous trace with no
-# evidence and a trace with non-finite floats.
+# evidence and a trace with non-finite floats, each interval tuple shared
+# with a later trace whose other floats are finite or not.
 _NO_TRACES = EvaluationReport(
     label="empty", frame=ABC, total_cases=0, counts={cat: 0 for cat in CATEGORIES},
     traces=(), errors=(),
 )
+_VACUOUS = (BeliefInterval(0.0, 1.0),) * 3
+_NON_FINITE = (_Bounds(-math.inf, math.nan), BeliefInterval(0.5, 0.5), _Bounds(-0.0, 1.0))
 _VACUOUS_NON_FINITE = EvaluationReport(
-    label="vacuous", frame=ABC, total_cases=2, counts=dict(zip(CATEGORIES, (1, 1, 0))),
+    label="vacuous", frame=ABC, total_cases=4, counts=dict(zip(CATEGORIES, (2, 2, 0))),
     traces=(
-        CaseTrace("c1", "a", CATEGORIES[1], ("a", "b", "c"), 1.0, 0.0,
-                  (BeliefInterval(0.0, 1.0),) * 3, ()),
-        CaseTrace("c2", "b", CATEGORIES[0], ("b",), math.nan, math.inf,
-                  (_Bounds(-math.inf, math.nan), BeliefInterval(0.5, 0.5), _Bounds(-0.0, 1.0)),
+        CaseTrace("c1", "a", CATEGORIES[1], ("a", "b", "c"), 1.0, 0.0, _VACUOUS, ()),
+        CaseTrace("c2", "b", CATEGORIES[0], ("b",), math.nan, math.inf, _NON_FINITE,
                   (EvidenceItemId("P1", Region.BELOW),)),
+        CaseTrace("c3", "c", CATEGORIES[1], ("a", "b", "c"), 1.0, math.nan, _VACUOUS, ()),
+        CaseTrace("c4", "b", CATEGORIES[0], ("b",), 0.5, 0.25, _NON_FINITE, ()),
     ),
     errors=(),
 )
