@@ -163,7 +163,7 @@ class MassFunction:
                 raise EmptySetMassError(f"mass {value} assigned to the empty set")
             focal[mask] = value
         total = math.fsum(focal.values())
-        if abs(total - 1.0) > MASS_SUM_TOL:
+        if not abs(total - 1.0) <= MASS_SUM_TOL:  # so that a NaN total fails too
             raise NotNormalizedError(total)
         if abs(total - 1.0) > _RESCALE_TOL:
             focal = {mask: value / total for mask, value in focal.items()}

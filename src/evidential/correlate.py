@@ -30,11 +30,6 @@ class CorrelationMatrix:
     params: tuple[str, ...]
     coefficients: dict[tuple[str, str], float]  # keyed (a, b) with a < b
 
-    def get(self, a: str, b: str) -> float | None:
-        if a > b:
-            a, b = b, a
-        return self.coefficients.get((a, b))
-
 
 def check_min_pairs(min_pairs: int) -> None:
     """A coefficient needs at least two shared cases."""
@@ -49,18 +44,22 @@ def check_threshold(threshold: float) -> None:
 
 
 def pearson_matrix(
-    cases: Sequence[CaseRecord], params: Sequence[str], min_pairs: int = 10
+    cases: Sequence[CaseRecord], params: Sequence[str], min_pairs: int
 ) -> CorrelationMatrix:
     """Pairwise-complete Pearson coefficients over the given parameters.
 
     A pair gets no entry when fewer than min_pairs cases carry both values,
     or when either column is constant on the shared cases. Insufficient data
-    is not an error; it just leaves the pair undefined.
+    just leaves the pair undefined; a non-finite measured value is an error.
     """
     check_min_pairs(min_pairs)
     params = tuple(params)
     if not params:
         raise ValueError("no parameters to correlate")
+    for case in cases:
+        for p in params:
+            if not math.isfinite(case.values.get(p, 0.0)):
+                raise ValueError(f"case {case.case_id}: non-finite value {case.values[p]} for {p}")
     columns = {
         p: np.array([case.values.get(p, math.nan) for case in cases], dtype=float)
         for p in params
@@ -93,7 +92,7 @@ class CorrelationGraph:
 
 
 def build_graph(
-    matrix: CorrelationMatrix, threshold: float = 0.5, group: Group = Group.BIOCHEMICAL
+    matrix: CorrelationMatrix, threshold: float, group: Group = Group.BIOCHEMICAL
 ) -> CorrelationGraph:
     """Keep an edge for every pair whose coefficient magnitude reaches threshold."""
     check_threshold(threshold)

@@ -1,18 +1,19 @@
 """Conditional frequency tables from case data, and the three ways to turn a
 frequency vector into a mass function.
 
-* method1_consonant ranks outcomes by descending frequency and weights each
-  top-j prefix by the frequency drop after it, scaled by the top frequency.
-  The foci form a nested chain, and outcomes that never occur stay out of
-  every focus (their plausibility is zero by construction).
-* method2 hunts for one dominant focus: the top singleton when its share
-  exceeds 0.5, otherwise the shortest descending prefix pushing past 0.5,
-  absorbing any singletons tied with the last one added. The leftover share
-  goes either to the remaining positive-share outcomes as one set
-  ("complement") or to the whole frame ("theta").
-* method3 scores every subset by its summed member shares and normalizes,
-  globally or per cardinality, after pinning the whole-frame score to 0 or 1.
-  Dense by construction: up to 2^n - 1 foci.
+* method1_consonant (`--method 1`) ranks outcomes by descending frequency
+  and weights each top-j prefix by the frequency drop after it, scaled by the
+  top frequency. The foci form a nested chain, and outcomes that never occur
+  stay out of every focus (their plausibility is zero by construction).
+* method2 (`--method 2a` and `2b`) hunts for one dominant focus: the top
+  singleton when its share exceeds 0.5, otherwise the shortest descending
+  prefix pushing past 0.5, absorbing any singletons tied with the last one
+  added. The leftover share goes either to the remaining positive-share
+  outcomes as one set ("complement", 2a) or to the whole frame ("theta", 2b).
+* method3 (`--method 3`) scores every subset by its summed member shares,
+  pins the whole-frame score to 1 or 0, and normalizes globally or per
+  cardinality: `--m3-variant` global-one (the default), global-zero,
+  size-one or size-zero. Dense by construction: up to 2^n - 1 foci.
 
 Counts are kept as exact integers and divided only when a frequency vector is
 read, so normalization checks never see accumulated rounding.
@@ -31,11 +32,10 @@ from .belief import Frame, Mask, MassFunction
 from .errors import DataFormatError, FrameMismatchError
 from .records import CaseRecord, EvidenceItemId, ReferenceIntervals, Region
 
-METHODS = ("1", "2a", "2b", "3")
-M3_NORMS = ("global", "size")
-M3_THETAS = ("one", "zero")
-# method-3 variant name, such as "size-zero", -> its (norm, theta) pair
-M3_VARIANTS = {f"{norm}-{theta}": (norm, theta) for norm in M3_NORMS for theta in M3_THETAS}
+# --m3-variant name -> method 3's (normalisation, whole-frame score)
+_M3_PARAMS = {"global-one": ("global", 1.0), "global-zero": ("global", 0.0),
+              "size-one": ("size", 1.0), "size-zero": ("size", 0.0)}
+M3_VARIANTS = tuple(_M3_PARAMS)
 M3_DEFAULT_VARIANT = "global-one"
 
 
@@ -181,20 +181,18 @@ def method2(frame: Frame, freq: Sequence[float], remainder: str) -> MassFunction
     return MassFunction(frame, masses)
 
 
-def method3(frame: Frame, freq: Sequence[float], norm: str = "global", theta: str = "one") -> MassFunction:
+def method3(frame: Frame, freq: Sequence[float], variant: str = M3_DEFAULT_VARIANT) -> MassFunction:
     """Mass spread over every subset from summed member shares.
 
     Every non-empty subset scores the sum of its members' shares, except the
-    whole frame whose score is pinned to 1 (theta="one") or 0 (theta="zero")
-    first. norm="global" divides every score by the grand total, which keeps
-    singleton mass ratios equal to frequency ratios. norm="size" normalizes
-    scores within each cardinality to sum 1, then splits evenly across the
-    cardinalities that scored anything.
+    whole frame whose score is pinned to 1 ("-one" variants) or 0 ("-zero")
+    first. "global-" variants divide every score by the grand total, which
+    keeps singleton mass ratios equal to frequency ratios. "size-" variants
+    normalize scores within each cardinality to sum 1, then split evenly
+    across the cardinalities that scored anything.
     """
-    if norm not in M3_NORMS:
-        raise ValueError(f"norm must be one of {M3_NORMS}, got {norm!r}")
-    if theta not in M3_THETAS:
-        raise ValueError(f"theta must be one of {M3_THETAS}, got {theta!r}")
+    check_method("3", variant)
+    norm, theta_score = _M3_PARAMS[variant]
     n = frame.n
     if n > lattice.DENSE_MAX_OUTCOMES:
         raise ValueError(
@@ -206,12 +204,12 @@ def method3(frame: Frame, freq: Sequence[float], norm: str = "global", theta: st
     for i, v in enumerate(values):
         raw[1 << i] = v
     lattice.subset_sum(raw, n)
-    raw[size - 1] = 1.0 if theta == "one" else 0.0
+    raw[size - 1] = theta_score
+    total = math.fsum(raw[1:])
+    if total <= 0.0:
+        raise ValueError("every subset scored zero; nothing to normalize")
     masses: dict[Mask, float] = {}
     if norm == "global":
-        total = math.fsum(raw[1:])
-        if total <= 0.0:
-            raise ValueError("every subset scored zero; nothing to normalize")
         for mask in range(1, size):
             if raw[mask] > 0.0:
                 masses[mask] = raw[mask] / total
@@ -221,12 +219,28 @@ def method3(frame: Frame, freq: Sequence[float], norm: str = "global", theta: st
             strata[mask.bit_count()].append(raw[mask])
         stratum_total = [math.fsum(vals) for vals in strata]
         active = sum(1 for t in stratum_total if t > 0.0)
-        if active == 0:
-            raise ValueError("every subset scored zero; nothing to normalize")
         for mask in range(1, size):
             if raw[mask] > 0.0:
                 masses[mask] = raw[mask] / (stratum_total[mask.bit_count()] * active)
     return MassFunction(frame, masses)
+
+
+# --method name -> its builder from (frame, frequency vector, method-3 variant)
+_BUILDERS = {
+    "1": lambda frame, freq, variant: method1_consonant(frame, freq),
+    "2a": lambda frame, freq, variant: method2(frame, freq, "complement"),
+    "2b": lambda frame, freq, variant: method2(frame, freq, "theta"),
+    "3": method3,
+}
+METHODS = tuple(_BUILDERS)
+
+
+def check_method(method: str, m3_variant: str) -> None:
+    """A method and a method-3 variant are keys of the two tables above."""
+    if method not in _BUILDERS:
+        raise ValueError(f"method must be one of {METHODS}, got {method!r}")
+    if m3_variant not in _M3_PARAMS:
+        raise ValueError(f"m3_variant must be one of {M3_VARIANTS}, got {m3_variant!r}")
 
 
 @dataclass
@@ -301,32 +315,20 @@ def extract_bpas(
     table: FrequencyTable,
     method: str,
     *,
-    m3_norm: str = "global",
-    m3_theta: str = "one",
+    m3_variant: str = M3_DEFAULT_VARIANT,
     min_support: int = 1,
 ) -> BpaSet:
     """Run one extraction method over every table entry with enough support.
 
     Entries whose support falls below min_support are suppressed (the default
-    floor of 1 keeps everything).
+    floor of 1 keeps everything). Only a method-3 BPA set records m3_variant.
     """
-    if method not in METHODS:
-        raise ValueError(f"method must be one of {METHODS}, got {method!r}")
+    check_method(method, m3_variant)
     check_min_support(min_support)
-    entries: dict[EvidenceItemId, MassFunction] = {}
-    for item in sorted(table.entries):
-        entry = table.entries[item]
-        if entry.support < min_support:
-            continue
-        f = entry.freq
-        if method == "1":
-            m = method1_consonant(table.frame, f)
-        elif method == "2a":
-            m = method2(table.frame, f, "complement")
-        elif method == "2b":
-            m = method2(table.frame, f, "theta")
-        else:
-            m = method3(table.frame, f, m3_norm, m3_theta)
-        entries[item] = m
-    variant = f"{m3_norm}-{m3_theta}" if method == "3" else ""
+    entries = {
+        item: _BUILDERS[method](table.frame, entry.freq, m3_variant)
+        for item, entry in sorted(table.entries.items())
+        if entry.support >= min_support
+    }
+    variant = m3_variant if method == "3" else ""
     return BpaSet(table.frame, entries, method=method, variant=variant)

@@ -18,8 +18,8 @@ from .correlate import prune_components
 from .errors import PipelineError
 from .evaluate import EvaluationReport, evaluate_set
 from .expert import all_modify, part_modify
-from .extract import M3_DEFAULT_VARIANT, M3_VARIANTS, METHODS, BpaSet, FrequencyTable
-from .extract import build_frequency_table, check_min_support, extract_bpas
+from .extract import M3_DEFAULT_VARIANT, BpaSet, FrequencyTable, build_frequency_table
+from .extract import check_method, check_min_support, extract_bpas
 
 MODIFY_MODES = ("part", "all")
 EXPERT_MODES = ("none", *MODIFY_MODES)
@@ -28,12 +28,12 @@ PRUNE_GROUP = Group.BIOCHEMICAL  # only tags the auto-prune report
 
 @dataclass
 class PipelineConfig:
-    """Settings of one run: the only place each setting's default lives.
+    """Settings of one run, with the defaults every `evidential` command takes.
 
     Each field is the flag of that name on `pipeline` and on every stage
-    subcommand that takes it (`extract`, `prune`). The range checks are the
-    library's own (check_threshold, check_min_pairs, check_min_support), run
-    here too so that a bad setting is refused before any input is read.
+    subcommand that takes it (`extract`, `prune`). The library's checks
+    (check_method, check_threshold, check_min_pairs, check_min_support) run
+    here too, so that a bad setting is refused before any input is read.
     """
 
     method: str = "2a"
@@ -46,10 +46,7 @@ class PipelineConfig:
     min_support: int = 1
 
     def __post_init__(self) -> None:
-        if self.method not in METHODS:
-            raise ValueError(f"method must be one of {METHODS}")
-        if self.m3_variant not in M3_VARIANTS:
-            raise ValueError(f"m3_variant must be one of {tuple(M3_VARIANTS)}")
+        check_method(self.method, self.m3_variant)
         if self.expert_mode not in EXPERT_MODES:
             raise ValueError(f"expert_mode must be one of {EXPERT_MODES}")
         if self.auto_prune and self.drop_params:
@@ -71,8 +68,7 @@ def frequency(train_cases, intervals) -> FrequencyTable:
 
 def extract(table: FrequencyTable, method: str, m3_variant: str, min_support: int, out) -> BpaSet:
     """Learn one mass function per evidence item and write the BPA set to out."""
-    norm, theta = M3_VARIANTS[m3_variant]
-    bpa = extract_bpas(table, method, m3_norm=norm, m3_theta=theta, min_support=min_support)
+    bpa = extract_bpas(table, method, m3_variant=m3_variant, min_support=min_support)
     formats.write_bpa_set(bpa, out)
     return bpa
 

@@ -14,6 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .belief import MAX_FRAME_SIZE
 from .records import CaseRecord, ReferenceIntervals
 
 
@@ -27,8 +28,8 @@ class SynthConfig:
     missing_rate: float = 0.1
 
     def __post_init__(self) -> None:
-        if not 1 <= self.outcomes <= 30:
-            raise ValueError("outcomes must be between 1 and 30")
+        if not 1 <= self.outcomes <= MAX_FRAME_SIZE:
+            raise ValueError(f"outcomes must be between 1 and {MAX_FRAME_SIZE}")
         if self.params < 1 or self.cases < 1:
             raise ValueError("params and cases must be at least 1")
         if self.separation < 0:

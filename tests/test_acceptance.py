@@ -312,7 +312,7 @@ def test_criterion_7_performance_contract():
     dense = []
     for _ in range(36):
         f = rng.random(14) + 0.05
-        dense.append(method3(frame, (f / f.sum()).tolist(), "global", "one"))
+        dense.append(method3(frame, (f / f.sum()).tolist(), "global-one"))
     result = fast_combine_via_commonality(dense)
     elapsed = time.perf_counter() - start
     assert elapsed < 10.0, f"dense extraction + combination took {elapsed:.2f}s"

@@ -87,6 +87,16 @@ class TestConstruction:
             MassFunction.from_labels(ABC, {("a",): 0.6, ("b",): 0.6})
         assert err.value.total == pytest.approx(1.2)
 
+    @pytest.mark.parametrize("masses", [
+        {0b001: math.nan},
+        {0b001: 0.5, 0b111: math.nan},
+        {0b001: math.nan, 0b111: 1.0},
+    ])
+    def test_nan_mass_rejected(self, masses):
+        # abs(NaN - 1) > tol is False, so a NaN total must fail the check explicitly
+        with pytest.raises(NotNormalizedError):
+            MassFunction(ABC, masses)
+
     def test_empty_set_mass_rejected(self):
         with pytest.raises(EmptySetMassError):
             MassFunction(ABC, {0: 0.5, ABC.full_mask: 0.5})

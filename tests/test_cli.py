@@ -271,6 +271,24 @@ class TestExitCodes:
         with pytest.raises(ValueError, match="not both"):
             PipelineConfig(auto_prune=True, drop_params="drop.txt")
 
+    def test_data_error_nan_mass(self, dataset, tmp_path, capsys):
+        bpa_path = tmp_path / "bpa.json"
+        assert run(
+            "extract", "--cases", str(dataset / "train.csv"),
+            "--intervals", str(dataset / "intervals.csv"),
+            "--method", "2b", "--out", str(bpa_path),
+        ) == 0
+        doc = json.loads(bpa_path.read_text())
+        doc["items"][0]["focal"][0]["mass"] = float("nan")
+        bpa_path.write_text(json.dumps(doc))
+        capsys.readouterr()
+        assert run(
+            "evaluate", "--bpa", str(bpa_path), "--test", str(dataset / "test.csv"),
+            "--intervals", str(dataset / "intervals.csv"), "--out", str(tmp_path / "r.json"),
+        ) == 2
+        assert "masses sum to nan" in capsys.readouterr().err
+        assert not (tmp_path / "r.json").exists()
+
     def test_pipeline_error_total_conflict(self, tmp_path):
         frame = ["a", "b"]
         doc = {
@@ -346,6 +364,29 @@ class TestBothViewsAgree:
         assert f"threshold must be in (0, 1], got {float(value)}" in stage_err
         code, err = self.pipeline(dataset, tmp_path, capsys, "--auto-prune", "--threshold", value)
         assert (code, err) == (2, stage_err)
+
+    @pytest.mark.parametrize("bad", ["inf", "nan"])
+    def test_non_finite_value(self, dataset, tmp_path, capsys, bad):
+        lines = (dataset / "train.csv").read_text().splitlines()
+        header, row = lines[0].split(","), lines[1].split(",")
+        row[2] = bad
+        train = tmp_path / "train.csv"
+        train.write_text("\n".join([lines[0], ",".join(row), *lines[2:]]) + "\n")
+        capsys.readouterr()
+        assert run(
+            "prune", "--cases", str(train), "--group", "biochem",
+            "--out", str(tmp_path / "prune.json"),
+        ) == 2
+        assert f"case {row[0]}: non-finite value {float(bad)} for {header[2]}" in (
+            capsys.readouterr().err
+        )
+        assert not (tmp_path / "prune.json").exists()
+        code = run(
+            "pipeline", "--train", str(train), "--test", str(dataset / "test.csv"),
+            "--intervals", str(dataset / "intervals.csv"), "--auto-prune",
+            "--out-dir", str(tmp_path / "pipe"),
+        )
+        assert code == 2
 
     def test_expert_table_on_another_frame(self, dataset, tmp_path, capsys):
         expert = tmp_path / "expert.json"

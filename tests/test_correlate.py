@@ -1,3 +1,5 @@
+import math
+
 import pytest
 
 from evidential.correlate import (
@@ -28,25 +30,25 @@ class TestPearson:
     def test_exact_linear(self):
         xs = [float(i) for i in range(10)]
         cases = cases_from_columns({"A": xs, "B": [2 * x + 1 for x in xs]})
-        matrix = pearson_matrix(cases, ["A", "B"])
-        assert matrix.get("A", "B") == pytest.approx(1.0, abs=1e-12)
+        matrix = pearson_matrix(cases, ["A", "B"], min_pairs=10)
+        assert matrix.coefficients[("A", "B")] == pytest.approx(1.0, abs=1e-12)
 
     def test_exact_inverse(self):
         xs = [float(i) for i in range(10)]
         cases = cases_from_columns({"A": xs, "B": [-x for x in xs]})
-        matrix = pearson_matrix(cases, ["A", "B"])
-        assert matrix.get("A", "B") == pytest.approx(-1.0, abs=1e-12)
+        matrix = pearson_matrix(cases, ["A", "B"], min_pairs=10)
+        assert matrix.coefficients[("A", "B")] == pytest.approx(-1.0, abs=1e-12)
 
     def test_constant_column_absent(self):
         cases = cases_from_columns({"A": [float(i) for i in range(10)], "B": [5.0] * 10})
-        matrix = pearson_matrix(cases, ["A", "B"])
-        assert matrix.get("A", "B") is None
+        matrix = pearson_matrix(cases, ["A", "B"], min_pairs=10)
+        assert ("A", "B") not in matrix.coefficients
 
     def test_min_pairs(self):
         xs = [float(i) for i in range(9)]
         cases = cases_from_columns({"A": xs, "B": [2 * x for x in xs]})
-        assert pearson_matrix(cases, ["A", "B"], min_pairs=10).get("A", "B") is None
-        assert pearson_matrix(cases, ["A", "B"], min_pairs=9).get("A", "B") is not None
+        assert ("A", "B") not in pearson_matrix(cases, ["A", "B"], min_pairs=10).coefficients
+        assert ("A", "B") in pearson_matrix(cases, ["A", "B"], min_pairs=9).coefficients
 
     @pytest.mark.parametrize("min_pairs", [1, 0, -3])
     def test_min_pairs_below_two_rejected(self, min_pairs):
@@ -60,11 +62,20 @@ class TestPearson:
         b = [2.0, 4.0, 6.0, 8.0, 10.0, 12.0, 14.0, 16.0, 18.0, 20.0, 100.0]
         cases = cases_from_columns({"A": a, "B": b})
         matrix = pearson_matrix(cases, ["A", "B"], min_pairs=10)
-        assert matrix.get("A", "B") == pytest.approx(1.0, abs=1e-12)
+        assert matrix.coefficients[("A", "B")] == pytest.approx(1.0, abs=1e-12)
 
     def test_no_params_rejected(self):
         with pytest.raises(ValueError):
-            pearson_matrix([], [])
+            pearson_matrix([], [], min_pairs=10)
+
+    @pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
+    def test_non_finite_value_rejected(self, bad):
+        # NaN marks a missing value inside pearson_matrix, and a clipped NaN
+        # coefficient would read as |r| = 1
+        xs = [float(i) for i in range(12)]
+        cases = cases_from_columns({"A": xs, "B": [2 * x for x in xs[:-1]] + [bad]})
+        with pytest.raises(ValueError, match="^case c11: non-finite value .* for B$"):
+            pearson_matrix(cases, ["A", "B"], min_pairs=10)
 
 
 class TestBuildGraph:

@@ -6,6 +6,9 @@ from hypothesis import strategies as st
 
 from evidential.belief import Frame, MassFunction
 from evidential.extract import (
+    M3_DEFAULT_VARIANT,
+    M3_VARIANTS,
+    METHODS,
     BpaSet,
     FrequencyEntry,
     build_frequency_table,
@@ -14,6 +17,7 @@ from evidential.extract import (
     method2,
     method3,
 )
+from evidential.pipeline import PipelineConfig
 from evidential.records import CaseRecord, EvidenceItemId, ReferenceIntervals, Region
 
 from helpers import assert_valid_mass, frame_of, frequency_vectors, is_consonant
@@ -213,19 +217,19 @@ def test_method2b_simple_support_when_b_singleton(nf):
 class TestMethod3:
     def test_global_theta_one(self):
         frame = Frame(("a", "b"))
-        m = method3(frame, (0.75, 0.25), "global", "one")
+        m = method3(frame, (0.75, 0.25), "global-one")
         assert m.mass(0b01) == pytest.approx(0.375, abs=1e-12)
         assert m.mass(0b10) == pytest.approx(0.125, abs=1e-12)
         assert m.mass(0b11) == pytest.approx(0.5, abs=1e-12)
 
     def test_global_theta_zero_drops_zero_raws(self):
         frame = Frame(("a", "b"))
-        m = method3(frame, (1.0, 0.0), "global", "zero")
+        m = method3(frame, (1.0, 0.0), "global-zero")
         assert dict(m.items()) == {0b01: pytest.approx(1.0)}
 
     def test_size_strata_share_equally(self):
         frame = frame_of(4)
-        m = method3(frame, (0.4, 0.3, 0.2, 0.1), "size", "one")
+        m = method3(frame, (0.4, 0.3, 0.2, 0.1), "size-one")
         by_size = {}
         for mask, value in m.items():
             by_size[mask.bit_count()] = by_size.get(mask.bit_count(), 0.0) + value
@@ -234,28 +238,26 @@ class TestMethod3:
 
     def test_singleton_ratio_preservation(self):
         frame = frame_of(3)
-        m = method3(frame, (0.5, 0.3, 0.2), "global", "one")
+        m = method3(frame, (0.5, 0.3, 0.2), "global-one")
         assert m.mass(0b001) / m.mass(0b010) == pytest.approx(0.5 / 0.3, abs=1e-9)
         assert m.mass(0b001) / m.mass(0b100) == pytest.approx(0.5 / 0.2, abs=1e-9)
 
     def test_singleton_frame_theta_zero_impossible(self):
         frame = Frame(("a",))
         with pytest.raises(ValueError, match="scored zero"):
-            method3(frame, (1.0,), "global", "zero")
+            method3(frame, (1.0,), "global-zero")
 
     def test_variant_validation(self):
-        with pytest.raises(ValueError, match="norm"):
-            method3(ABC, (0.5, 0.3, 0.2), "sideways", "one")
-        with pytest.raises(ValueError, match="theta"):
-            method3(ABC, (0.5, 0.3, 0.2), "global", "two")
+        for variant in ("sideways-one", "global-two", "global"):
+            with pytest.raises(ValueError, match="^m3_variant must be one of"):
+                method3(ABC, (0.5, 0.3, 0.2), variant)
 
 
 @settings(max_examples=100)
-@given(frequency_vectors(max_n=6), st.sampled_from(["global", "size"]),
-       st.sampled_from(["one", "zero"]))
-def test_method3_always_valid(nf, norm, theta):
+@given(frequency_vectors(max_n=6), st.sampled_from(M3_VARIANTS))
+def test_method3_always_valid(nf, variant):
     n, freq = nf
-    m = method3(frame_of(n), freq, norm, theta)
+    m = method3(frame_of(n), freq, variant)
     assert_valid_mass(m)
 
 
@@ -316,8 +318,14 @@ class TestExtractBpas:
             extract_bpas(self.build_table(), "1", min_support=min_support)
 
     def test_unknown_method(self):
-        with pytest.raises(ValueError, match="method"):
+        with pytest.raises(ValueError, match="^method must be one of"):
             extract_bpas(self.build_table(), "4")
+
+    @pytest.mark.parametrize("variant", M3_VARIANTS)
+    def test_variant_recorded_for_method_3_only(self, variant):
+        table = self.build_table()
+        assert extract_bpas(table, "3", m3_variant=variant).label() == f"3({variant})"
+        assert extract_bpas(table, "1", m3_variant=variant).label() == "1"
 
     def test_round_trip(self):
         bpa = extract_bpas(self.build_table(), "3")
@@ -327,3 +335,32 @@ class TestExtractBpas:
         doc = extract_bpas(self.build_table(), "2b").to_dict()
         assert doc["method"] == "2b"
         assert all("class" in item and "parameter" in item for item in doc["items"])
+
+
+class TestMethodTables:
+    def test_keys_are_the_cli_names(self):
+        assert METHODS == ("1", "2a", "2b", "3")
+        assert M3_VARIANTS == ("global-one", "global-zero", "size-one", "size-zero")
+        assert M3_DEFAULT_VARIANT == "global-one"
+
+    def test_one_check_one_wording(self):
+        table = TestExtractBpas().build_table()
+
+        def message(call):
+            with pytest.raises(ValueError) as info:
+                call()
+            return str(info.value)
+
+        bad_method = {
+            message(lambda: PipelineConfig(method="4")),
+            message(lambda: extract_bpas(table, "4")),
+        }
+        assert bad_method == {"method must be one of ('1', '2a', '2b', '3'), got '4'"}
+        bad_variant = {
+            message(lambda: PipelineConfig(m3_variant="x")),
+            message(lambda: method3(ABC, (0.5, 0.3, 0.2), "x")),
+        }
+        assert bad_variant == {
+            "m3_variant must be one of "
+            "('global-one', 'global-zero', 'size-one', 'size-zero'), got 'x'"
+        }
