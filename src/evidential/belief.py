@@ -13,7 +13,7 @@ import math
 import operator
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, Mapping
+from typing import Iterable, Mapping, NamedTuple
 
 import numpy as np
 
@@ -110,25 +110,23 @@ class Frame:
         return mask
 
 
-@dataclass(frozen=True)
-class BeliefInterval:
-    """Lower (belief) and upper (plausibility) probability of one subset."""
+class BeliefInterval(NamedTuple):
+    """Lower (belief) and upper (plausibility) probability of one subset.
+
+    A plain pair with no checks of its own: the program builds it through
+    clip_interval, and formats.report_from_dict checks a pair read from a file.
+    """
 
     lower: float
     upper: float
 
-    def __post_init__(self) -> None:
-        lower = float(self.lower)
-        upper = float(self.upper)
-        if not (math.isfinite(lower) and math.isfinite(upper)):
-            raise ValueError("belief interval bounds must be finite")
-        if lower > upper + 1e-9 or lower < -1e-9 or upper > 1.0 + 1e-9:
-            raise ValueError(f"invalid belief interval [{lower}, {upper}]")
-        # clip numeric spill so 0 <= lower <= upper <= 1 holds exactly
-        lower = min(max(lower, 0.0), 1.0)
-        upper = min(max(upper, lower), 1.0)
-        object.__setattr__(self, "lower", lower)
-        object.__setattr__(self, "upper", upper)
+
+def clip_interval(lower: float, upper: float) -> BeliefInterval:
+    """The interval between two computed bounds, with numeric spill clipped so
+    that 0 <= lower <= upper <= 1 holds exactly: lower into [0, 1], then upper
+    into [lower, 1]. A NaN bound passes through unchanged."""
+    lower = min(max(lower, 0.0), 1.0)
+    return BeliefInterval(lower, min(max(upper, lower), 1.0))
 
 
 class MassFunction:
@@ -242,7 +240,7 @@ class MassFunction:
         return 1.0 - self.belief(self.frame.complement(mask))
 
     def interval(self, mask: Mask) -> BeliefInterval:
-        return BeliefInterval(self.belief(mask), self.plausibility(mask))
+        return clip_interval(self.belief(mask), self.plausibility(mask))
 
     def singleton_intervals(self) -> tuple[BeliefInterval, ...]:
         """Belief interval of every singleton, in frame order (cached).
@@ -264,7 +262,7 @@ class MassFunction:
                     without[low.bit_length() - 1].append(value)
                     rest ^= low
             intervals = tuple(
-                BeliefInterval(
+                clip_interval(
                     1.0 if n == 1 else self._focal.get(1 << i, 0.0),
                     1.0 - math.fsum(without[i]),
                 )

@@ -71,7 +71,8 @@ def pearson_matrix(
             shared = ~np.isnan(xa) & ~np.isnan(xb)
             if int(shared.sum()) < min_pairs:
                 continue
-            x, y = xa[shared], xb[shared]
+            # exact power-of-two scaling to max |x| in [0.5, 1): no moment overflows
+            x, y = (np.ldexp(v, -np.frexp(np.abs(v).max())[1]) for v in (xa[shared], xb[shared]))
             sx, sy = float(x.std()), float(y.std())
             if sx == 0.0 or sy == 0.0:
                 continue

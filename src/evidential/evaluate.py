@@ -1,9 +1,13 @@
 """Diagnosis by evidence combination, match categories against ground truth,
-aggregate reports, and exact paired comparison between configurations."""
+aggregate reports, and exact paired comparison between configurations.
+
+A CaseTrace is a DiagnosisResult plus the truth and its match category, and a
+report's tallies are computed from its traces and errors."""
 
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
@@ -119,15 +123,11 @@ def classify_match(observed: Mask, expected: str, frame: Frame) -> MatchCategory
 
 
 @dataclass(frozen=True)
-class CaseTrace:
-    case_id: str
+class CaseTrace(DiagnosisResult):
+    """One scored case: its diagnosis, the true outcome, and the category."""
+
     expected: str
     category: MatchCategory
-    observed_labels: tuple[str, ...]
-    observed_mass: float
-    conflict: float
-    intervals: tuple[BeliefInterval, ...]
-    evidence_used: tuple[EvidenceItemId, ...]
 
 
 @dataclass(frozen=True)
@@ -135,26 +135,31 @@ class EvaluationReport:
     """Aggregate accuracy of one configuration over a test set.
 
     Cases that could not be diagnosed are listed under errors and excluded
-    from the percentage base.
+    from the percentage base. Every tally is derived from traces and errors.
     """
 
     label: str
     frame: Frame
-    total_cases: int
-    counts: dict[MatchCategory, int]
     traces: tuple[CaseTrace, ...]
     errors: tuple[tuple[str, str], ...]
 
     @property
+    def total_cases(self) -> int:
+        return len(self.traces) + len(self.errors)
+
+    @property
     def evaluated(self) -> int:
-        return sum(self.counts.values())
+        return len(self.traces)
+
+    @property
+    def counts(self) -> dict[MatchCategory, int]:
+        tally = Counter(trace.category for trace in self.traces)
+        return {cat: tally[cat] for cat in CATEGORIES}
 
     @property
     def percentages(self) -> dict[MatchCategory, float] | None:
-        base = self.evaluated
-        if base == 0:
-            return None
-        return {cat: 100.0 * self.counts[cat] / base for cat in CATEGORIES}
+        counts, base = self.counts, self.evaluated
+        return {cat: 100.0 * counts[cat] / base for cat in CATEGORIES} if base else None
 
 
 def evaluate_set(
@@ -163,10 +168,8 @@ def evaluate_set(
     intervals: ReferenceIntervals,
     drop_params: Iterable[str] = (),
 ) -> EvaluationReport:
-    """Diagnose every case and tally match categories against the truth."""
-    test_cases = list(test_cases)
+    """Diagnose every case and score it against the truth."""
     drop_params = frozenset(drop_params)
-    counts = {cat: 0 for cat in CATEGORIES}
     traces: list[CaseTrace] = []
     errors: list[tuple[str, str]] = []
     for case in test_cases:
@@ -176,27 +179,8 @@ def evaluate_set(
         except CASE_ERRORS as exc:
             errors.append((case.case_id, str(exc)))
             continue
-        counts[category] += 1
-        traces.append(
-            CaseTrace(
-                case_id=result.case_id,
-                expected=case.outcome,
-                category=category,
-                observed_labels=result.observed_labels,
-                observed_mass=result.observed_mass,
-                conflict=result.conflict,
-                intervals=result.intervals,
-                evidence_used=result.evidence_used,
-            )
-        )
-    return EvaluationReport(
-        label=bpa.label(),
-        frame=bpa.frame,
-        total_cases=len(test_cases),
-        counts=counts,
-        traces=tuple(traces),
-        errors=tuple(errors),
-    )
+        traces.append(CaseTrace(**vars(result), expected=case.outcome, category=category))
+    return EvaluationReport(bpa.label(), bpa.frame, tuple(traces), tuple(errors))
 
 
 @dataclass(frozen=True)
@@ -211,10 +195,6 @@ class ComparisonVerdict:
     alpha: float
     significant: bool
     degenerate: bool
-
-    @property
-    def discordant(self) -> int:
-        return self.pm_only_a + self.pm_only_b
 
 
 def mcnemar_exact_p(b: int, c: int) -> float:

@@ -4,6 +4,8 @@ JSON documents are written with a fixed key order and 2-space indentation so
 identical inputs always serialize to identical bytes. The evaluation report,
 the one large document, is streamed trace by trace by a writer of its own; its
 bytes are those of json.dump(report_to_dict(report), indent=2) plus a newline.
+A report is checked once, when it is read: its tallies, categories, observed
+labels and belief intervals must be ones the program could have written.
 """
 
 from __future__ import annotations
@@ -13,17 +15,16 @@ import functools
 import json
 import math
 import warnings
-from dataclasses import replace
 from itertools import chain
 from json.encoder import encode_basestring_ascii as _encode_str
 from operator import attrgetter
 from pathlib import Path
 from typing import Iterable, Sequence
 
-from .belief import BeliefInterval, Frame
+from .belief import BeliefInterval, Frame, clip_interval
 from .correlate import CorrelationGraph, PruneResult
 from .errors import DataFormatError
-from .evaluate import CATEGORIES, CaseTrace, EvaluationReport, MatchCategory
+from .evaluate import CATEGORIES, CaseTrace, EvaluationReport, MatchCategory, classify_match
 from .extract import BpaSet, FrequencyTable
 from .records import CaseRecord, EvidenceItemId, ReferenceIntervals, Region
 
@@ -186,20 +187,22 @@ def write_frequency_table(table: FrequencyTable, path) -> None:
 
 # --- evaluation reports ---------------------------------------------------------
 
-def report_to_dict(report: EvaluationReport) -> dict:
+def _report_header(report: EvaluationReport) -> dict:
+    """Every key of the report document but the traces, in document order."""
     percentages = report.percentages
     return {
         "label": report.label,
         "frame": list(report.frame.labels),
         "total_cases": report.total_cases,
         "evaluated": report.evaluated,
-        "counts": {cat.value: report.counts[cat] for cat in CATEGORIES},
-        "percentages": None
-        if percentages is None
-        else {cat.value: percentages[cat] for cat in CATEGORIES},
+        "counts": {cat.value: count for cat, count in report.counts.items()},
+        "percentages": None if percentages is None else {c.value: v for c, v in percentages.items()},
         "errors": [[case_id, message] for case_id, message in report.errors],
-        "traces": [_trace_to_dict(trace) for trace in report.traces],
     }
+
+
+def report_to_dict(report: EvaluationReport) -> dict:
+    return {**_report_header(report), "traces": [_trace_to_dict(t) for t in report.traces]}
 
 
 def _trace_to_dict(trace: CaseTrace) -> dict:
@@ -215,31 +218,45 @@ def _trace_to_dict(trace: CaseTrace) -> dict:
     }
 
 
-def report_from_dict(doc: dict) -> EvaluationReport:
-    frame = Frame(tuple(doc["frame"]))
-    traces = tuple(
-        CaseTrace(
-            case_id=raw["case_id"],
-            expected=raw["expected"],
-            category=MatchCategory(raw["category"]),
-            observed_labels=tuple(raw["observed"]),
-            observed_mass=raw["observed_mass"],
-            conflict=raw["conflict"],
-            intervals=tuple(BeliefInterval(lo, hi) for lo, hi in raw["intervals"]),
-            evidence_used=tuple(
-                EvidenceItemId(param, Region(region)) for param, region in raw["evidence_used"]
-            ),
-        )
-        for raw in doc["traces"]
+def _read_interval(lower, upper) -> BeliefInterval:
+    """Finite bounds in order within [0, 1] up to 1e-9, clipped as computed ones are."""
+    lower, upper = float(lower), float(upper)
+    if not (math.isfinite(lower) and math.isfinite(upper)):
+        raise ValueError("belief interval bounds must be finite")
+    if lower > upper + 1e-9 or lower < -1e-9 or upper > 1.0 + 1e-9:
+        raise ValueError(f"invalid belief interval [{lower}, {upper}]")
+    return clip_interval(lower, upper)
+
+
+def _read_trace(raw: dict, frame: Frame) -> CaseTrace:
+    observed, category = frame.mask_of(raw["observed"]), MatchCategory(raw["category"])
+    if category != classify_match(observed, raw["expected"], frame):
+        raise ValueError(f"case {raw['case_id']!r}: category {category.value} "
+                         f"disagrees with its observed set")
+    return CaseTrace(
+        raw["case_id"], observed, tuple(raw["observed"]), raw["observed_mass"], raw["conflict"],
+        tuple(_read_interval(lo, hi) for lo, hi in raw["intervals"]),
+        tuple(EvidenceItemId(param, Region(region)) for param, region in raw["evidence_used"]),
+        raw["expected"], category,
     )
-    return EvaluationReport(
+
+
+def report_from_dict(doc: dict) -> EvaluationReport:
+    """Rebuild a report, refusing one the program could not have written: a
+    bad interval, an observed label outside the frame, a category other than
+    the observed set's, or a tally that disagrees with the traces and errors."""
+    frame = Frame(tuple(doc["frame"]))
+    report = EvaluationReport(
         label=doc["label"],
         frame=frame,
-        total_cases=doc["total_cases"],
-        counts={cat: doc["counts"][cat.value] for cat in CATEGORIES},
-        traces=traces,
+        traces=tuple(_read_trace(raw, frame) for raw in doc["traces"]),
         errors=tuple((case_id, message) for case_id, message in doc["errors"]),
     )
+    header = _report_header(report)
+    for key in ("total_cases", "evaluated", "counts", "percentages"):
+        if doc[key] != header[key]:
+            raise ValueError(f"{key} {doc[key]!r} disagrees with the traces ({header[key]!r})")
+    return report
 
 
 def read_report(path) -> EvaluationReport:
@@ -253,7 +270,7 @@ def read_report(path) -> EvaluationReport:
 def write_report(report: EvaluationReport, path) -> None:
     """Stream the report one trace at a time, as the same bytes as
     json.dumps(report_to_dict(report), indent=2) plus a newline."""
-    head = json.dumps(report_to_dict(replace(report, traces=())), indent=2)
+    head = json.dumps({**_report_header(report), "traces": []}, indent=2)
     with open(path, "w") as fh:
         if not report.traces:
             fh.write(head + "\n")

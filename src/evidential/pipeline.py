@@ -123,8 +123,13 @@ def run_pipeline(
     frame_of). Test cases with a label outside it, or with a non-finite
     value, appear under the report's errors. Auto-pruning treats all
     parameters of the train file as one measurement group; keep groups in
-    separate files when that matters.
+    separate files when that matters. expert_path is given exactly when
+    config.expert_mode is not "none", or ValueError is raised before anything
+    is read or written.
     """
+    if (expert_path is None) == (config.expert_mode != "none"):
+        raise ValueError(f"expert_mode {config.expert_mode!r} needs an expert table"
+                         if expert_path is None else "an expert table needs an expert_mode")
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
 
@@ -132,11 +137,7 @@ def run_pipeline(
         train_params, train_cases = formats.parse_case_table(train_path)
         _, test_cases = formats.parse_case_table(test_path)
         intervals = formats.parse_intervals(intervals_path)
-        expert = None
-        if config.expert_mode != "none":
-            if expert_path is None:
-                raise ValueError("expert modification requested without an expert table")
-            expert = formats.read_bpa_set(expert_path)
+        expert = None if expert_path is None else formats.read_bpa_set(expert_path)
 
     with _stage("frequency"):
         table = frequency(train_cases, intervals)

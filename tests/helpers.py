@@ -8,6 +8,7 @@ they check.
 from __future__ import annotations
 
 import math
+from fractions import Fraction
 
 import numpy as np
 from hypothesis import strategies as st
@@ -78,6 +79,42 @@ def combine_oracle(m1: MassFunction, m2: MassFunction) -> tuple[dict[int, float]
     return {mask: v / scale for mask, v in products.items()}, conflict
 
 
+def exact_combine(ms: list[MassFunction]) -> tuple[dict[int, Fraction], Fraction]:
+    """Dempster's rule folded left to right in exact rational arithmetic.
+
+    Every float is a dyadic rational, so nothing here rounds. Each operand is
+    first scaled to total exactly 1, and each step divides its non-empty
+    products by their sum. Returns (masses, conflict): the combined masses by
+    mask and the true total conflict 1 - prod(1 - k_step). masses is empty
+    when some step keeps no mass at all."""
+    def normalised(masses):
+        total = sum(masses.values())
+        return {mask: value / total for mask, value in masses.items()}
+
+    acc = normalised({mask: Fraction(v) for mask, v in ms[0].items()})
+    kept = Fraction(1)
+    for m in ms[1:]:
+        operand = normalised({mask: Fraction(v) for mask, v in m.items()})
+        products: dict[int, Fraction] = {}
+        for a, va in acc.items():
+            for b, vb in operand.items():
+                products[a & b] = products.get(a & b, 0) + va * vb
+        kept *= 1 - products.pop(0, 0)
+        if not products:
+            return {}, Fraction(1)
+        acc = normalised(products)
+    return acc, 1 - kept
+
+
+def exact_singleton_intervals(masses: dict[int, Fraction], n: int) -> list[tuple[Fraction, Fraction]]:
+    """(Bel, Pl) of every singleton of an n-outcome frame, exactly."""
+    return [
+        (Fraction(1) if n == 1 else masses.get(1 << i, Fraction(0)),
+         sum((v for mask, v in masses.items() if mask >> i & 1), Fraction(0)))
+        for i in range(n)
+    ]
+
+
 def full_lattice_combine(ms: list[MassFunction]) -> CombinationResult:
     """The dense path as it was before it was restricted to the common core:
     multiply every operand's commonality vector over the whole 2^n lattice,
@@ -97,6 +134,17 @@ def full_lattice_combine(ms: list[MassFunction]) -> CombinationResult:
         raise TotalConflictError("all product mass fell on the empty set", conflict=conflict)
     combined = MassFunction(ms[0].frame, {mask: value / surviving for mask, value in raw.items()})
     return CombinationResult(combined, conflict)
+
+
+def pearson_reference(x: list[float], y: list[float]) -> float | None:
+    """Pearson r by the plain moment formula on the unscaled columns, clipped
+    to [-1, 1]; None when either column is constant."""
+    x, y = np.array(x), np.array(y)
+    sx, sy = float(x.std()), float(y.std())
+    if sx == 0.0 or sy == 0.0:
+        return None
+    r = float(((x - x.mean()) * (y - y.mean())).mean()) / (sx * sy)
+    return max(-1.0, min(1.0, r))
 
 
 def max_mass_diff(m1: MassFunction, m2: MassFunction) -> float:

@@ -16,7 +16,6 @@ from evidential.combine import combine_all, dempster_combine, fast_combine_via_c
 from evidential.correlate import CorrelationGraph, Group, prune_components
 from evidential.errors import TotalConflictError
 from evidential.evaluate import (
-    CATEGORIES,
     CaseTrace,
     EvaluationReport,
     MatchCategory,
@@ -360,12 +359,9 @@ def test_criterion_9_mcnemar_exact_values():
         return float(min(Fraction(2 * tail, 2**n), Fraction(1)))
 
     def report_from(cats, label):
-        counts = {cat: 0 for cat in CATEGORIES}
-        traces = []
-        for cid, cat in cats.items():
-            counts[cat] += 1
-            traces.append(CaseTrace(cid, "a", cat, ("a",), 1.0, 0.0, (), ()))
-        return EvaluationReport(label, Frame(("a", "b")), len(cats), counts, tuple(traces), ())
+        traces = [CaseTrace(cid, 0b1, ("a",), 1.0, 0.0, (), (), "a", cat)
+                  for cid, cat in cats.items()]
+        return EvaluationReport(label, Frame(("a", "b")), tuple(traces), ())
 
     for b, c in [(0, 0), (1, 0), (2, 7), (5, 5), (12, 3), (20, 0), (13, 27)]:
         paired = {}

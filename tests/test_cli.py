@@ -487,6 +487,25 @@ class TestPipeline:
         assert (out_dir / "dropped_params.txt").exists()
 
 
+class TestExpertFlags:
+    """An expert table is given exactly when an expert mode is set; anything
+    else is refused before the output directory is made or any input read."""
+
+    @pytest.mark.parametrize("mode, with_table", [("none", True), ("part", False)])
+    def test_table_and_mode_go_together(self, dataset, tmp_path, capsys, mode, with_table):
+        expert = str(_expert_table(dataset / "train.csv", tmp_path / "expert.json"))
+        expert_path = expert if with_table else None
+        paths = [str(dataset / name) for name in ("train.csv", "test.csv", "intervals.csv")]
+        out_dir = tmp_path / "pipe"
+        flags = ["--expert-mode", mode] + (["--expert", expert] if with_table else [])
+        assert run("pipeline", "--train", paths[0], "--test", paths[1], "--intervals", paths[2],
+                   *flags, "--out-dir", str(out_dir)) == 2
+        assert "expert" in capsys.readouterr().err
+        with pytest.raises(ValueError, match="expert"):
+            run_pipeline(PipelineConfig(expert_mode=mode), *paths, expert_path, out_dir)
+        assert not out_dir.exists()
+
+
 def _expert_table(train_csv, path):
     """An expert opinion on two parameters, over the training cases' labels."""
     labels = sorted({case.outcome for case in formats.parse_cases(train_csv)})

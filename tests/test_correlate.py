@@ -1,6 +1,9 @@
 import math
+import warnings
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from evidential.correlate import (
     CorrelationGraph,
@@ -11,6 +14,8 @@ from evidential.correlate import (
     prune_components,
 )
 from evidential.records import CaseRecord
+
+from helpers import pearson_reference
 
 
 def cases_from_columns(columns: dict[str, list[float | None]]) -> list[CaseRecord]:
@@ -63,6 +68,27 @@ class TestPearson:
         cases = cases_from_columns({"A": a, "B": b})
         matrix = pearson_matrix(cases, ["A", "B"], min_pairs=10)
         assert matrix.coefficients[("A", "B")] == pytest.approx(1.0, abs=1e-12)
+
+    def test_large_finite_columns_do_not_overflow(self):
+        # at scale 1 these columns give r = 0.2447552447552448; unscaled
+        # moments of the 1e200 columns overflow, and the clipped NaN read 1.0
+        cases = cases_from_columns({
+            "A": [i * 1e200 for i in range(12)],
+            "B": [(7 * i) % 12 * 1e200 for i in range(12)],
+        })
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            matrix = pearson_matrix(cases, ["A", "B"], min_pairs=10)
+        assert matrix.coefficients[("A", "B")] == pytest.approx(0.24475524475524, rel=1e-12)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(2, 20).flatmap(lambda n: st.lists(
+        st.tuples(*[st.floats(-1e6, 1e6).filter(lambda v: v == 0 or abs(v) >= 1e-3)] * 2),
+        min_size=n, max_size=n)))
+    def test_ordinary_columns_match_the_plain_formula(self, rows):
+        a, b = [x for x, _ in rows], [y for _, y in rows]
+        matrix = pearson_matrix(cases_from_columns({"A": a, "B": b}), ["A", "B"], min_pairs=2)
+        assert matrix.coefficients.get(("A", "B")) == pearson_reference(a, b)
 
     def test_no_params_rejected(self):
         with pytest.raises(ValueError):

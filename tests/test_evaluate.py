@@ -9,7 +9,6 @@ from evidential import combine, formats
 from evidential.belief import Frame, MassFunction
 from evidential.errors import CaseSetMismatchError, NoEvidenceError, TotalConflictError
 from evidential.evaluate import (
-    CATEGORIES,
     CaseTrace,
     EvaluationReport,
     MatchCategory,
@@ -290,18 +289,11 @@ class TestMcNemar:
 
 
 def make_report(label, categories, errors=()):
-    counts = {cat: 0 for cat in CATEGORIES}
-    traces = []
-    for cid, cat in categories.items():
-        counts[cat] += 1
-        traces.append(
-            CaseTrace(cid, "a", cat, ("a",), 1.0, 0.0, (), ())
-        )
+    traces = [CaseTrace(cid, 0b1, ("a",), 1.0, 0.0, (), (), "a", cat)
+              for cid, cat in categories.items()]
     return EvaluationReport(
         label=label,
         frame=ABC,
-        total_cases=len(categories) + len(errors),
-        counts=counts,
         traces=tuple(traces),
         errors=tuple((cid, "total conflict") for cid in errors),
     )

@@ -1,6 +1,6 @@
 import json
 import math
-from typing import NamedTuple
+import re
 
 import pytest
 from hypothesis import HealthCheck, example, given, settings
@@ -10,7 +10,8 @@ from evidential import formats
 from evidential.belief import BeliefInterval, Frame, MassFunction
 from evidential.correlate import CorrelationMatrix, Group, build_graph, prune_components
 from evidential.errors import DataFormatError
-from evidential.evaluate import CATEGORIES, CaseTrace, EvaluationReport, evaluate_set
+from evidential.cli import main
+from evidential.evaluate import CATEGORIES, CaseTrace, EvaluationReport, classify_match, evaluate_set
 from evidential.extract import (
     BpaSet,
     FrequencyEntry,
@@ -171,13 +172,6 @@ class TestFrequencyTableFiles:
         assert FrequencyTable(Frame(tuple(doc["frame"])), entries) == table
 
 
-class _Bounds(NamedTuple):
-    """Any pair of floats where a BeliefInterval would reject the pair."""
-
-    lower: float
-    upper: float
-
-
 # Text that json has to escape: quotes, backslashes, control characters and
 # non-ASCII, including astral characters written as surrogate pairs.
 _texts = st.text(
@@ -193,7 +187,7 @@ def _reports(draw) -> EvaluationReport:
     unit = st.floats(0.0, 1.0)
     interval = st.one_of(
         st.builds(lambda a, b: BeliefInterval(min(a, b), max(a, b)), unit, unit),
-        st.builds(_Bounds, _floats, _floats),
+        st.builds(BeliefInterval, _floats, _floats),
     )
     evidence = st.builds(EvidenceItemId, _texts, st.sampled_from(Region))
     # Traces of cases that combined to one mass function share one tuple.
@@ -202,6 +196,7 @@ def _reports(draw) -> EvaluationReport:
     trace = st.builds(
         CaseTrace,
         case_id=_texts,
+        observed=st.just(0),
         expected=_texts,
         category=st.sampled_from(CATEGORIES),
         observed_labels=st.lists(st.sampled_from(labels), max_size=4).map(tuple),
@@ -213,8 +208,6 @@ def _reports(draw) -> EvaluationReport:
     return EvaluationReport(
         label=draw(_texts),
         frame=Frame(tuple(labels)),
-        total_cases=draw(st.integers(0, 10**6)),
-        counts={cat: draw(st.integers(0, 3)) for cat in CATEGORIES},
         traces=tuple(draw(st.lists(trace, max_size=6))),
         errors=tuple(draw(st.lists(st.tuples(_texts, _texts), max_size=3))),
     )
@@ -223,23 +216,73 @@ def _reports(draw) -> EvaluationReport:
 # No traces, no errors, no percentages; then an all-vacuous trace with no
 # evidence and a trace with non-finite floats, each interval tuple shared
 # with a later trace whose other floats are finite or not.
-_NO_TRACES = EvaluationReport(
-    label="empty", frame=ABC, total_cases=0, counts={cat: 0 for cat in CATEGORIES},
-    traces=(), errors=(),
-)
+_NO_TRACES = EvaluationReport(label="empty", frame=ABC, traces=(), errors=())
 _VACUOUS = (BeliefInterval(0.0, 1.0),) * 3
-_NON_FINITE = (_Bounds(-math.inf, math.nan), BeliefInterval(0.5, 0.5), _Bounds(-0.0, 1.0))
+_NON_FINITE = (BeliefInterval(-math.inf, math.nan), BeliefInterval(0.5, 0.5),
+               BeliefInterval(-0.0, 1.0))
 _VACUOUS_NON_FINITE = EvaluationReport(
-    label="vacuous", frame=ABC, total_cases=4, counts=dict(zip(CATEGORIES, (2, 2, 0))),
+    label="vacuous", frame=ABC,
     traces=(
-        CaseTrace("c1", "a", CATEGORIES[1], ("a", "b", "c"), 1.0, 0.0, _VACUOUS, ()),
-        CaseTrace("c2", "b", CATEGORIES[0], ("b",), math.nan, math.inf, _NON_FINITE,
-                  (EvidenceItemId("P1", Region.BELOW),)),
-        CaseTrace("c3", "c", CATEGORIES[1], ("a", "b", "c"), 1.0, math.nan, _VACUOUS, ()),
-        CaseTrace("c4", "b", CATEGORIES[0], ("b",), 0.5, 0.25, _NON_FINITE, ()),
+        CaseTrace("c1", 0b111, ("a", "b", "c"), 1.0, 0.0, _VACUOUS, (), "a", CATEGORIES[1]),
+        CaseTrace("c2", 0b010, ("b",), math.nan, math.inf, _NON_FINITE,
+                  (EvidenceItemId("P1", Region.BELOW),), "b", CATEGORIES[0]),
+        CaseTrace("c3", 0b111, ("a", "b", "c"), 1.0, math.nan, _VACUOUS, (), "c", CATEGORIES[1]),
+        CaseTrace("c4", 0b010, ("b",), 0.5, 0.25, _NON_FINITE, (), "b", CATEGORIES[0]),
     ),
     errors=(),
 )
+
+
+@st.composite
+def _program_reports(draw) -> EvaluationReport:
+    """Reports the program could write: finite bounds in [0, 1], observed
+    sets on the frame, and each category the one its observed set earns."""
+    labels = draw(st.lists(_texts.filter(bool), min_size=1, max_size=4, unique=True))
+    frame = Frame(tuple(labels))
+    unit = st.floats(0.0, 1.0)
+    interval = st.builds(lambda a, b: BeliefInterval(min(a, b), max(a, b)), unit, unit)
+    evidence = st.builds(EvidenceItemId, _texts, st.sampled_from(Region))
+
+    def trace(observed, expected):
+        return st.builds(
+            CaseTrace,
+            case_id=_texts,
+            observed=st.just(observed),
+            observed_labels=st.just(frame.labels_of(observed)),
+            observed_mass=unit,
+            conflict=unit,
+            intervals=st.lists(interval, min_size=frame.n, max_size=frame.n).map(tuple),
+            evidence_used=st.lists(evidence, max_size=3).map(tuple),
+            expected=st.just(expected),
+            category=st.just(classify_match(observed, expected, frame)),
+        )
+
+    traces = st.tuples(st.integers(1, frame.full_mask), st.sampled_from(labels))
+    return EvaluationReport(
+        label=draw(_texts),
+        frame=frame,
+        traces=tuple(draw(st.lists(traces.flatmap(lambda pair: trace(*pair)), max_size=6))),
+        errors=tuple(draw(st.lists(st.tuples(_texts, _texts), max_size=3))),
+    )
+
+
+def _set_interval(bounds):
+    return lambda doc: doc["traces"][0]["intervals"].__setitem__(0, bounds)
+
+
+# Edits of the evaluated report (traces c1 -> {a} and c2 -> {b}, both PM; c3
+# an error) that make it a report the program could not have written.
+_REFUSED_EDITS = {
+    "counts": (lambda doc: doc["counts"].update(PM=1, NM=1), "counts"),
+    "total_cases": (lambda doc: doc.update(total_cases=2), "total_cases"),
+    "evaluated": (lambda doc: doc.update(evaluated=3), "evaluated"),
+    "percentages": (lambda doc: doc["percentages"].update(PM=50.0, NM=50.0), "percentages"),
+    "category": (lambda doc: doc["traces"][0].update(category="NM"),
+                 "category NM disagrees with its observed set"),
+    "unknown-observed-label": (lambda doc: doc["traces"][0].update(observed=["z"]),
+                               "unknown outcome label 'z'"),
+    "non-finite-interval": (_set_interval([math.nan, 1.0]), "bounds must be finite"),
+}
 
 
 class TestReportFiles:
@@ -259,6 +302,46 @@ class TestReportFiles:
         path = tmp_path / "report.json"
         formats.write_report(report, path)
         assert formats.read_report(path) == report
+
+    def edited(self, tmp_path, edit):
+        """The evaluated report written to a file, with edit applied to its
+        document; returns the edited file."""
+        formats.write_report(self.report(), tmp_path / "report.json")
+        doc = json.loads((tmp_path / "report.json").read_text())
+        edit(doc)
+        path = tmp_path / "edited.json"
+        path.write_text(json.dumps(doc, indent=2))
+        return path
+
+    @settings(max_examples=60, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(report=_program_reports())
+    def test_program_shaped_reports_read_back_equal(self, tmp_path, report):
+        path = tmp_path / "report.json"
+        formats.write_report(report, path)
+        assert formats.read_report(path) == report
+
+    @pytest.mark.parametrize("name", sorted(_REFUSED_EDITS))
+    def test_refuses_what_the_program_could_not_write(self, tmp_path, capsys, name):
+        edit, message = _REFUSED_EDITS[name]
+        path = self.edited(tmp_path, edit)
+        with pytest.raises(DataFormatError, match=f"^{re.escape(str(path))}: malformed report .*{message}"):
+            formats.read_report(path)
+        capsys.readouterr()
+        assert main(["compare", "--report", str(path),
+                     "--report", str(tmp_path / "report.json")]) == 2
+        assert capsys.readouterr().err.startswith(f"error: {path}: malformed report")
+
+    def test_interval_validation(self, tmp_path):
+        for bounds in ([0.8, 0.2], [-0.5, 0.5]):
+            with pytest.raises(DataFormatError, match="invalid belief interval"):
+                formats.read_report(self.edited(tmp_path, _set_interval(bounds)))
+
+    def test_interval_spill_is_clipped_on_read(self, tmp_path):
+        for bounds, expected in [([-1e-12, 0.5], (0.0, 0.5)), ([0.5, 0.5 - 1e-12], (0.5, 0.5)),
+                                 ([1.0 + 4e-13, 1.0 + 4e-13], (1.0, 1.0))]:
+            report = formats.read_report(self.edited(tmp_path, _set_interval(bounds)))
+            assert report.traces[0].intervals[0] == expected
 
     @settings(max_examples=60, deadline=None,
               suppress_health_check=[HealthCheck.function_scoped_fixture])
