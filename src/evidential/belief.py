@@ -138,15 +138,16 @@ class MassFunction:
     1e-12. Instances are immutable after construction and safe to share
     across threads.
 
-    Derived values are cached on the instance on first use: the commonality
-    vector, the singleton belief intervals, and (filled by
-    combine.dempster_combine) the result of combining this instance, as the
-    left operand, with each right operand it has met. Each cache entry
-    depends only on the instance and its operand, so a thread that races
-    another on a first use stores an equal value.
+    Derived values are cached on the instance on first use: the core (the
+    union of the focal sets, as a mask), the commonality vector, the
+    singleton belief intervals, and (filled by combine.dempster_combine) the
+    result of combining this instance, as the left operand, with each right
+    operand it has met. Each cache entry depends only on the instance and its
+    operand, so a thread that races another on a first use stores an equal
+    value.
     """
 
-    __slots__ = ("frame", "_focal", "_q", "_intervals", "_combinations")
+    __slots__ = ("frame", "_focal", "_core", "_q", "_intervals", "_combinations")
 
     def __init__(self, frame: Frame, masses: Mapping[Mask, float]):
         focal: dict[Mask, float] = {}
@@ -167,6 +168,7 @@ class MassFunction:
             focal = {mask: value / total for mask, value in focal.items()}
         self.frame = frame
         self._focal = focal
+        self._core: Mask | None = None
         self._q: np.ndarray | None = None
         self._intervals: tuple[BeliefInterval, ...] | None = None
         # id(right) -> (right, CombinationResult); see combine.dempster_combine
@@ -184,6 +186,7 @@ class MassFunction:
         self = cls.__new__(cls)
         self.frame = frame
         self._focal = {mask: value for mask, value in masses.items() if value}
+        self._core = None
         self._q = None
         self._intervals = None
         self._combinations = None
@@ -242,30 +245,51 @@ class MassFunction:
     def interval(self, mask: Mask) -> BeliefInterval:
         return clip_interval(self.belief(mask), self.plausibility(mask))
 
+    def core(self) -> Mask:
+        """Union of the focal sets, as a mask (cached).
+
+        Every outcome outside the core has Bel({x}) = 0 and the same
+        Pl({x}), and every focal set of a combination lies inside the
+        intersection of its operands' cores.
+        """
+        core = self._core
+        if core is None:
+            core = 0
+            for mask in self._focal:
+                core |= mask
+            self._core = core
+        return core
+
     def singleton_intervals(self) -> tuple[BeliefInterval, ...]:
         """Belief interval of every singleton, in frame order (cached).
 
         One pass over the foci: Bel({x}) is m({x}) and Pl({x}) is 1 minus the
-        fsum of the masses of foci without x. fsum is correctly rounded, so
+        fsum of the masses of foci without x. Only outcomes of the core are
+        walked; every outcome outside it lies in no focus, so it shares the
+        interval [0, 1 - fsum of all masses]. fsum is correctly rounded, so
         the tuple equals interval(bit) for each singleton bit exactly,
         including the one-outcome frame, where Bel of the whole frame is 1.
         """
         intervals = self._intervals
         if intervals is None:
             n = self.frame.n
-            full = self.frame.full_mask
+            core = self.core()
             without: list[list[float]] = [[] for _ in range(n)]
             for mask, value in self._focal.items():
-                rest = full & ~mask
+                rest = core & ~mask
                 while rest:
                     low = rest & -rest
                     without[low.bit_length() - 1].append(value)
                     rest ^= low
+            outside = None
+            if core != self.frame.full_mask:
+                outside = clip_interval(0.0, 1.0 - math.fsum(self._focal.values()))
             intervals = tuple(
                 clip_interval(
                     1.0 if n == 1 else self._focal.get(1 << i, 0.0),
                     1.0 - math.fsum(without[i]),
                 )
+                if core >> i & 1 else outside
                 for i in range(n)
             )
             self._intervals = intervals

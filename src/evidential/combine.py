@@ -5,12 +5,13 @@ directly and is right whenever focal sets stay small. The dense path
 multiplies the operands' commonality vectors pointwise and inverts the
 product back to masses. Every focal set of a combination lies inside the
 common core C, the intersection of the operands' cores (a core is the union
-of an operand's focal sets), so the dense path works on the 2^c subsets of
-C alone, where c = |C|. Each mass function caches its commonality vector, so
-an operand costs one O(n * 2^n) transform over its lifetime; each
-combination then costs O(2^c) per operand plus one O(c * 2^c) inversion,
-regardless of focal count. That wins once operands carry many foci (dense
-all-subsets assignments in particular) or recur across many cases.
+of an operand's focal sets, which MassFunction.core caches as an int mask),
+so the dense path works on the 2^c subsets of C alone, where c = |C|. Each
+mass function caches its commonality vector, so an operand costs one
+O(n * 2^n) transform over its lifetime; each combination then costs O(2^c)
+per operand plus one O(c * 2^c) inversion, regardless of focal count. That
+wins once operands carry many foci (dense all-subsets assignments in
+particular) or recur across many cases.
 
 Both paths share one rule (Shafer 1976, ch. 3), applied by _renormalised.
 The conflict k is the product mass that falls on the empty set. The surviving
@@ -43,7 +44,6 @@ from .errors import FrameMismatchError, TotalConflictError
 
 _MIN_SURVIVING_MASS = 1e-12  # surviving mass at or below this is total conflict
 _DENSE_NOISE_FLOOR = 1e-15   # Mobius round-off cutoff, relative to 1 - k
-_SINGLETONS = 1 << np.arange(lattice.DENSE_MAX_OUTCOMES)  # mask of each one-outcome subset
 
 
 @dataclass(frozen=True)
@@ -57,7 +57,7 @@ class CombinationResult:
 def _shared_frame(ms: Sequence[MassFunction]) -> Frame:
     frame = ms[0].frame
     for m in ms[1:]:
-        if m.frame != frame:
+        if m.frame is not frame and m.frame != frame:
             raise FrameMismatchError("mass functions live on different frames")
     return frame
 
@@ -181,11 +181,12 @@ def fast_combine_via_commonality(ms: Sequence[MassFunction]) -> CombinationResul
     most 1e-12: the same rule as the sparse fold.
 
     Only the subsets of the common core C are multiplied and inverted; C is
-    read off the cached vectors as the outcomes x with Q_i({x}) > 0 for every
-    operand. Q_i(B) is exactly +0.0 for every B that is not a subset of C,
-    so each step of a whole-frame inversion that reaches a subset of C from
-    outside it subtracts +0.0, and the result is bit for bit the whole-frame
-    one. An empty core is total conflict with k = prod Q_i(empty set).
+    the AND of the operands' cached int cores (MassFunction.core), which is
+    the set of outcomes x with Q_i({x}) > 0 for every operand, since masses
+    are positive and the commonality transform only adds them. Q_i(B) is
+    exactly +0.0 for every B that is not a subset of C, so each step of a
+    whole-frame inversion that reaches a subset of C from outside it
+    subtracts +0.0, and the result is bit for bit the whole-frame one. An empty core is total conflict with k = prod Q_i(empty set).
 
     Cost: one O(n * 2^n) transform per distinct operand over its lifetime
     (MassFunction.commonality_vector caches it), plus O(2^c) per operand
@@ -200,13 +201,14 @@ def fast_combine_via_commonality(ms: Sequence[MassFunction]) -> CombinationResul
     # Fetched before the product is allocated, so an oversized frame is
     # refused by commonality_vector's size check without touching memory.
     commonalities = [m.commonality_vector() for m in ms]
-    n = frame.n
-    singletons = _SINGLETONS[:n]
-    core_bits = singletons[np.minimum.reduce([q[singletons] for q in commonalities]) > 0.0]
+    core = frame.full_mask
+    for m in ms:
+        core &= m.core()
+    core_bits = [1 << i for i in range(frame.n) if core >> i & 1]
     c = len(core_bits)
     # masks[j] is the frame mask of the j-th subset of the core; None when the
     # core is the whole frame and the index is the mask itself.
-    masks = None if c == n else _core_subsets(core_bits)
+    masks = None if c == frame.n else _core_subsets(core_bits)
     product = np.ones(1 << c)
     for q in commonalities:
         product *= q if masks is None else q[masks]
@@ -221,13 +223,13 @@ def fast_combine_via_commonality(ms: Sequence[MassFunction]) -> CombinationResul
     return _renormalised(frame, raw, conflict)
 
 
-def _core_subsets(core_bits: np.ndarray) -> np.ndarray:
+def _core_subsets(core_bits: list[int]) -> np.ndarray:
     """Frame masks of all subsets of a core, given its bits in ascending order.
 
     Entry j deposits the bits of j onto the core's bits, so the masks ascend
     with j and bit k of j stands for core_bits[k].
     """
     masks = np.zeros(1 << len(core_bits), dtype=np.intp)
-    for k, bit in enumerate(core_bits.tolist()):
+    for k, bit in enumerate(core_bits):
         masks[1 << k: 2 << k] = masks[: 1 << k] | bit
     return masks

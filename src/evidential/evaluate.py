@@ -18,7 +18,7 @@ from .combine import combine_all
 from .errors import CaseSetMismatchError, EvidenceError, NoEvidenceError, TotalConflictError
 from .expert import is_vacuous
 from .extract import BpaSet
-from .records import CaseRecord, EvidenceItemId, ReferenceIntervals
+from .records import CaseRecord, EvidenceItemId, ReferenceIntervals, discretize
 
 
 class MatchCategory(str, Enum):
@@ -74,11 +74,13 @@ def diagnose_case(
     tagged with the case id.
     """
     dropped = set(drop_params)
+    reference = intervals.bounds
     found: list[tuple[EvidenceItemId, MassFunction]] = []
     for param in sorted(case.values):
-        if param in dropped or param not in intervals:
+        bounds = reference.get(param)
+        if bounds is None or param in dropped:
             continue
-        item = EvidenceItemId(param, intervals.region(param, case.values[param]))
+        item = EvidenceItemId(param, discretize(case.values[param], bounds))
         m = bpa.entries.get(item)
         if m is not None:
             found.append((item, m))

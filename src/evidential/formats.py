@@ -218,23 +218,51 @@ def _trace_to_dict(trace: CaseTrace) -> dict:
     }
 
 
+# How far a computed float read from a report may spill past its range: an
+# interval bound past [0, 1], an observed mass past 1 (a lone focus of a BPA
+# file keeps a total within 1e-12 of 1 verbatim), or a dense-path conflict
+# below 0 (Mobius round-off).
+_SPILL = 1e-9
+
+
 def _read_interval(lower, upper) -> BeliefInterval:
     """Finite bounds in order within [0, 1] up to 1e-9, clipped as computed ones are."""
     lower, upper = float(lower), float(upper)
     if not (math.isfinite(lower) and math.isfinite(upper)):
         raise ValueError("belief interval bounds must be finite")
-    if lower > upper + 1e-9 or lower < -1e-9 or upper > 1.0 + 1e-9:
+    if lower > upper + _SPILL or lower < -_SPILL or upper > 1.0 + _SPILL:
         raise ValueError(f"invalid belief interval [{lower}, {upper}]")
     return clip_interval(lower, upper)
 
 
+def _is_number(value) -> bool:
+    """True for a JSON number; JSON's true and false read as bools, not numbers."""
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
 def _read_trace(raw: dict, frame: Frame) -> CaseTrace:
+    """A trace the program could have written: an observed set on the frame in
+    frame order, earning its category; a mass in (0, 1]; a conflict in
+    [0, 1); one interval per outcome."""
+    case = f"case {raw['case_id']!r}"
     observed, category = frame.mask_of(raw["observed"]), MatchCategory(raw["category"])
+    labels = frame.labels_of(observed)
+    if not isinstance(raw["observed"], list) or tuple(raw["observed"]) != labels:
+        raise ValueError(f"{case}: observed labels {raw['observed']!r} are not "
+                         f"a set's labels in frame order")
     if category != classify_match(observed, raw["expected"], frame):
-        raise ValueError(f"case {raw['case_id']!r}: category {category.value} "
-                         f"disagrees with its observed set")
+        raise ValueError(f"{case}: category {category.value} disagrees with its observed set")
+    mass, conflict = raw["observed_mass"], raw["conflict"]
+    # Comparisons with NaN are false, so these refuse NaN as well.
+    if not (_is_number(mass) and 0.0 < mass <= 1.0 + _SPILL):
+        raise ValueError(f"{case}: observed_mass {mass!r} is not a number in (0, 1]")
+    if not (_is_number(conflict) and -_SPILL <= conflict < 1.0):
+        raise ValueError(f"{case}: conflict {conflict!r} is not a number in [0, 1)")
+    if len(raw["intervals"]) != frame.n:
+        raise ValueError(f"{case}: {len(raw['intervals'])} intervals for "
+                         f"a {frame.n}-outcome frame")
     return CaseTrace(
-        raw["case_id"], observed, tuple(raw["observed"]), raw["observed_mass"], raw["conflict"],
+        raw["case_id"], observed, labels, float(mass), float(conflict),
         tuple(_read_interval(lo, hi) for lo, hi in raw["intervals"]),
         tuple(EvidenceItemId(param, Region(region)) for param, region in raw["evidence_used"]),
         raw["expected"], category,
@@ -243,8 +271,8 @@ def _read_trace(raw: dict, frame: Frame) -> CaseTrace:
 
 def report_from_dict(doc: dict) -> EvaluationReport:
     """Rebuild a report, refusing one the program could not have written: a
-    bad interval, an observed label outside the frame, a category other than
-    the observed set's, or a tally that disagrees with the traces and errors."""
+    trace _read_trace refuses, or a tally that disagrees with the traces and
+    errors."""
     frame = Frame(tuple(doc["frame"]))
     report = EvaluationReport(
         label=doc["label"],

@@ -14,7 +14,7 @@ import numpy as np
 from hypothesis import strategies as st
 
 from evidential import lattice
-from evidential.belief import Frame, MassFunction
+from evidential.belief import BeliefInterval, Frame, MassFunction, clip_interval
 from evidential.combine import CombinationResult
 from evidential.errors import TotalConflictError
 from evidential.extract import build_frequency_table, extract_bpas
@@ -59,6 +59,25 @@ def bel_oracle(m: MassFunction, subset: int) -> float:
 def pl_oracle(m: MassFunction, subset: int) -> float:
     n = m.frame.n
     return math.fsum(m.mass(s) for s in range(1, 1 << n) if s & subset)
+
+
+def singleton_intervals_reference(m: MassFunction) -> tuple[BeliefInterval, ...]:
+    """MassFunction.singleton_intervals as it was before it walked only the
+    core: every focus adds its mass to each outcome of the whole frame that
+    it lacks, and Pl({x}) is 1 minus the fsum of what x collected."""
+    n = m.frame.n
+    full = m.frame.full_mask
+    without: list[list[float]] = [[] for _ in range(n)]
+    for mask, value in m.items():
+        rest = full & ~mask
+        while rest:
+            low = rest & -rest
+            without[low.bit_length() - 1].append(value)
+            rest ^= low
+    return tuple(
+        clip_interval(1.0 if n == 1 else m.mass(1 << i), 1.0 - math.fsum(without[i]))
+        for i in range(n)
+    )
 
 
 def q_oracle(m: MassFunction, subset: int) -> float:

@@ -1,5 +1,7 @@
+import functools
 import json
 import math
+import operator
 import sys
 import threading
 
@@ -9,14 +11,24 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from evidential.belief import BeliefInterval, Frame, MassFunction, clip_interval
+from evidential.combine import combine_all
 from evidential.errors import (
     EmptySetMassError,
     FrameMismatchError,
     NonPositiveMassError,
     NotNormalizedError,
+    TotalConflictError,
 )
 
-from helpers import assert_valid_mass, bel_oracle, frame_of, mass_functions, pl_oracle, q_oracle
+from helpers import (
+    assert_valid_mass,
+    bel_oracle,
+    frame_of,
+    mass_functions,
+    pl_oracle,
+    q_oracle,
+    singleton_intervals_reference,
+)
 
 ABC = Frame(("a", "b", "c"))
 
@@ -304,6 +316,64 @@ def test_singleton_intervals_equal_per_bit_intervals(m):
     expected = tuple(m.interval(1 << i) for i in range(m.frame.n))
     assert m.singleton_intervals() == expected
     assert m.singleton_intervals() is m.singleton_intervals()
+
+
+@st.composite
+def _results_in_a_core(draw):
+    """A combination of 1-3 operands on n = 1-12 outcomes whose foci all lie
+    in one drawn mask, so the result's core is often smaller than the frame."""
+    n = draw(st.integers(1, 12))
+    frame = frame_of(n)
+    within = draw(st.integers(1, frame.full_mask))
+    bits = [1 << i for i in range(n) if within >> i & 1]
+
+    def operand():
+        picks = draw(st.lists(st.integers(1, (1 << len(bits)) - 1),
+                              min_size=1, max_size=8, unique=True))
+        weights = draw(st.lists(st.floats(0.01, 1.0), min_size=len(picks), max_size=len(picks)))
+        total = math.fsum(weights)
+        return MassFunction(frame, {
+            sum(bit for k, bit in enumerate(bits) if pick >> k & 1): w / total
+            for pick, w in zip(picks, weights)
+        })
+
+    ms = [operand() for _ in range(draw(st.integers(1, 3)))]
+    try:
+        return combine_all(ms, path=draw(st.sampled_from(["auto", "sparse", "commonality"])))
+    except TotalConflictError:
+        return ms[0]
+
+
+@settings(max_examples=300, deadline=None)
+@given(_results_in_a_core())
+def test_singleton_intervals_equal_whole_frame_walk(result):
+    m = result if isinstance(result, MassFunction) else result.combined
+    got = [tuple(map(repr, interval)) for interval in m.singleton_intervals()]
+    assert got == [tuple(map(repr, interval)) for interval in singleton_intervals_reference(m)]
+
+
+@settings(max_examples=200)
+@given(mass_functions(min_n=1, max_n=8, max_foci=12))
+def test_core_is_the_union_of_the_foci(m):
+    assert m.core() == functools.reduce(operator.or_, (mask for mask, _ in m.items()))
+
+
+def test_core_computed_once():
+    class CountingDict(dict):
+        iterations = 0
+
+        def __iter__(self):
+            CountingDict.iterations += 1
+            return super().__iter__()
+
+    for m in (abc_mass(), MassFunction._normalised(ABC, {0b001: 0.25, 0b011: 0.75})):
+        core = functools.reduce(operator.or_, (mask for mask, _ in m.items()))
+        m._focal = CountingDict(m._focal)
+        CountingDict.iterations = 0
+        assert [m.core(), m.core()] == [core, core]
+        m.singleton_intervals()
+        assert m.core() == core
+        assert CountingDict.iterations == 1
 
 
 def test_singleton_intervals_one_outcome_frame():

@@ -33,6 +33,7 @@ from helpers import (
     masses_on,
     max_mass_diff,
     random_mass,
+    singleton_intervals_reference,
     synthetic_2b,
 )
 
@@ -337,6 +338,30 @@ class TestCommonCore:
             whole += core == ms[0].frame.full_mask
         # the sweep reaches total conflict, empty cores and whole-frame cores
         assert min(totals, cores, whole) >= 20
+
+    def test_integer_core_equals_commonality_rule(self):
+        """The AND of the operands' int cores is the old rule's core: the
+        singletons x with Q_i({x}) > 0 for every operand."""
+        for seed, per_n in ((14, 40), (5, 10)):
+            for ms in _core_operand_lists(seed=seed, per_n=per_n):
+                singletons = 1 << np.arange(ms[0].frame.n)
+                positive = np.minimum.reduce(
+                    [m.commonality_vector()[singletons] for m in ms]) > 0.0
+                old = functools.reduce(operator.or_, singletons[positive].tolist(), 0)
+                assert functools.reduce(operator.and_, (m.core() for m in ms)) == old
+
+    def test_result_intervals_match_whole_frame_walk(self):
+        smaller = 0
+        for ms in _core_operand_lists(seed=14, per_n=40):
+            try:
+                m = fast_combine_via_commonality(ms).combined
+            except TotalConflictError:
+                continue
+            got = [tuple(map(repr, interval)) for interval in m.singleton_intervals()]
+            expected = singleton_intervals_reference(m)
+            assert got == [tuple(map(repr, interval)) for interval in expected]
+            smaller += m.core() != m.frame.full_mask
+        assert smaller >= 20
 
     def test_heavy_conflict_folds_match_full_lattice(self):
         for ms in heavy_conflict_folds(seed=23, count=300):

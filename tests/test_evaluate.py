@@ -133,6 +133,18 @@ class TestDiagnoseCase:
         two = diagnose_case(CaseRecord("c1", "a", {"P2": 25.0, "P1": 5.0}), bpa, INTERVALS)
         assert one == two
 
+    def test_drop_params_any_iterable(self):
+        bpa = bpa_with(
+            {
+                EvidenceItemId("P1", Region.BELOW): simple(["a"], 0.8),
+                EvidenceItemId("P2", Region.BELOW): simple(["b"], 0.8),
+            }
+        )
+        case = CaseRecord("c1", "a", {"P1": 5.0, "P2": 5.0})
+        expected = diagnose_case(case, bpa, INTERVALS, drop_params={"P2"})
+        for drop in (["P2"], (p for p in ["P2"]), frozenset({"P2"})):
+            assert diagnose_case(case, bpa, INTERVALS, drop_params=drop) == expected
+
     def test_drop_of_missing_parameter_changes_nothing(self):
         bpa = bpa_with({EvidenceItemId("P1", Region.BELOW): simple(["a"], 0.8)})
         case = CaseRecord("c1", "a", {"P1": 5.0})

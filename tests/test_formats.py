@@ -11,6 +11,7 @@ from evidential.belief import BeliefInterval, Frame, MassFunction
 from evidential.correlate import CorrelationMatrix, Group, build_graph, prune_components
 from evidential.errors import DataFormatError
 from evidential.cli import main
+from evidential.combine import fast_combine_via_commonality
 from evidential.evaluate import CATEGORIES, CaseTrace, EvaluationReport, classify_match, evaluate_set
 from evidential.extract import (
     BpaSet,
@@ -236,7 +237,8 @@ _VACUOUS_NON_FINITE = EvaluationReport(
 @st.composite
 def _program_reports(draw) -> EvaluationReport:
     """Reports the program could write: finite bounds in [0, 1], observed
-    sets on the frame, and each category the one its observed set earns."""
+    sets on the frame, each category the one its observed set earns, a
+    positive observed mass and a conflict short of 1."""
     labels = draw(st.lists(_texts.filter(bool), min_size=1, max_size=4, unique=True))
     frame = Frame(tuple(labels))
     unit = st.floats(0.0, 1.0)
@@ -249,8 +251,8 @@ def _program_reports(draw) -> EvaluationReport:
             case_id=_texts,
             observed=st.just(observed),
             observed_labels=st.just(frame.labels_of(observed)),
-            observed_mass=unit,
-            conflict=unit,
+            observed_mass=st.floats(0.0, 1.0, exclude_min=True),
+            conflict=st.floats(0.0, 1.0, exclude_max=True),
             intervals=st.lists(interval, min_size=frame.n, max_size=frame.n).map(tuple),
             evidence_used=st.lists(evidence, max_size=3).map(tuple),
             expected=st.just(expected),
@@ -270,6 +272,10 @@ def _set_interval(bounds):
     return lambda doc: doc["traces"][0]["intervals"].__setitem__(0, bounds)
 
 
+def _set_trace(**fields):
+    return lambda doc: doc["traces"][0].update(fields)
+
+
 # Edits of the evaluated report (traces c1 -> {a} and c2 -> {b}, both PM; c3
 # an error) that make it a report the program could not have written.
 _REFUSED_EDITS = {
@@ -282,6 +288,24 @@ _REFUSED_EDITS = {
     "unknown-observed-label": (lambda doc: doc["traces"][0].update(observed=["z"]),
                                "unknown outcome label 'z'"),
     "non-finite-interval": (_set_interval([math.nan, 1.0]), "bounds must be finite"),
+    "observed-mass-string": (_set_trace(observed_mass="abc"),
+                             "observed_mass 'abc' is not a number in"),
+    "observed-mass-bool": (_set_trace(observed_mass=True), "observed_mass True is not a number in"),
+    "observed-mass-zero": (_set_trace(observed_mass=0.0), "observed_mass 0.0 is not a number in"),
+    "observed-mass-above-one": (_set_trace(observed_mass=1.5),
+                                "observed_mass 1.5 is not a number in"),
+    "conflict-nan": (_set_trace(conflict=math.nan), "conflict nan is not a number in"),
+    "conflict-one": (_set_trace(conflict=1.0), "conflict 1.0 is not a number in"),
+    "conflict-negative": (_set_trace(conflict=-0.5), "conflict -0.5 is not a number in"),
+    "conflict-infinite": (_set_trace(conflict=math.inf), "conflict inf is not a number in"),
+    "intervals-short": (lambda doc: doc["traces"][0]["intervals"].pop(),
+                        "2 intervals for a 3-outcome frame"),
+    "intervals-long": (lambda doc: doc["traces"][0]["intervals"].append([0.0, 1.0]),
+                       "4 intervals for a 3-outcome frame"),
+    "observed-duplicate": (_set_trace(observed=["a", "a"]),
+                           r"observed labels \['a', 'a'\] are not a set's labels in frame order"),
+    "observed-out-of-order": (_set_trace(observed=["b", "a"]),
+                              r"observed labels \['b', 'a'\] are not a set's labels in frame order"),
 }
 
 
@@ -336,6 +360,18 @@ class TestReportFiles:
         for bounds in ([0.8, 0.2], [-0.5, 0.5]):
             with pytest.raises(DataFormatError, match="invalid belief interval"):
                 formats.read_report(self.edited(tmp_path, _set_interval(bounds)))
+
+    def test_computed_spill_reads_back(self, tmp_path):
+        """The dense path can find a conflict an ulp below 0, and a lone focus
+        of a BPA file keeps a mass up to 1e-12 over 1; the program writes
+        both, so both read back as written."""
+        m1 = MassFunction(ABC, {0b011: 0.8, 0b100: 0.2})
+        m2 = MassFunction(ABC, {0b110: 0.2, 0b101: 0.8})
+        conflict = fast_combine_via_commonality([m1, m2]).conflict
+        assert conflict < 0.0
+        path = self.edited(tmp_path, _set_trace(conflict=conflict, observed_mass=1.0 + 1e-12))
+        trace = formats.read_report(path).traces[0]
+        assert (trace.conflict, trace.observed_mass) == (conflict, 1.0 + 1e-12)
 
     def test_interval_spill_is_clipped_on_read(self, tmp_path):
         for bounds, expected in [([-1e-12, 0.5], (0.0, 0.5)), ([0.5, 0.5 - 1e-12], (0.5, 0.5)),
