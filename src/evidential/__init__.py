@@ -6,7 +6,7 @@ parameters with Dempster's rule, and scores diagnoses against ground truth
 with a precise/imprecise/non-match taxonomy.
 """
 
-from .belief import BeliefInterval, Frame, Mask, MassFunction
+from .belief import BeliefInterval, Frame, Mask, MassFunction, is_vacuous
 from .combine import (
     CombinationResult,
     combine_all,
@@ -47,7 +47,7 @@ from .evaluate import (
     mcnemar_exact_p,
     observed_set,
 )
-from .expert import all_modify, is_vacuous, part_modify
+from .expert import all_modify, part_modify
 from .extract import (
     BpaSet,
     FrequencyEntry,

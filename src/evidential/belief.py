@@ -32,6 +32,7 @@ MASS_SUM_TOL = 1e-9
 # Totals this close to 1 are kept verbatim: rescaling would only shuffle the
 # last ulp and would destroy byte-stable serialization of literal masses.
 _RESCALE_TOL = 1e-12
+VACUOUS_TOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -140,14 +141,15 @@ class MassFunction:
 
     Derived values are cached on the instance on first use: the core (the
     union of the focal sets, as a mask), the commonality vector, the
-    singleton belief intervals, and (filled by combine.dempster_combine) the
-    result of combining this instance, as the left operand, with each right
-    operand it has met. Each cache entry depends only on the instance and its
-    operand, so a thread that races another on a first use stores an equal
-    value.
+    singleton belief intervals, (filled by evaluate.diagnose_case) the
+    observed focus with its labels and mass, and (filled by
+    combine.dempster_combine) the result of combining this instance, as the
+    left operand, with each right operand it has met. Each cache entry
+    depends only on the instance and its operand, so a thread that races
+    another on a first use stores an equal value.
     """
 
-    __slots__ = ("frame", "_focal", "_core", "_q", "_intervals", "_combinations")
+    __slots__ = ("frame", "_focal", "_core", "_q", "_intervals", "_observed", "_combinations")
 
     def __init__(self, frame: Frame, masses: Mapping[Mask, float]):
         focal: dict[Mask, float] = {}
@@ -171,6 +173,8 @@ class MassFunction:
         self._core: Mask | None = None
         self._q: np.ndarray | None = None
         self._intervals: tuple[BeliefInterval, ...] | None = None
+        # (mask, labels, mass) of the observed focus; see evaluate.diagnose_case
+        self._observed: tuple[Mask, tuple[str, ...], float] | None = None
         # id(right) -> (right, CombinationResult); see combine.dempster_combine
         self._combinations: dict | None = None
 
@@ -189,6 +193,7 @@ class MassFunction:
         self._core = None
         self._q = None
         self._intervals = None
+        self._observed = None
         self._combinations = None
         return self
 
@@ -347,6 +352,13 @@ class MassFunction:
             mask = frame.mask_of(entry["subset"])
             masses[mask] = masses.get(mask, 0.0) + float(entry["mass"])
         return cls(frame, masses)
+
+
+def is_vacuous(m: MassFunction) -> bool:
+    """True when the only focus is the whole frame, with mass 1 within 1e-9."""
+    if len(m) != 1:
+        return False
+    return abs(m.mass(m.frame.full_mask) - 1.0) <= VACUOUS_TOL
 
 
 def _focal_order(item):

@@ -135,7 +135,7 @@ def combine_all(ms: Sequence[MassFunction], path: str = "auto") -> CombinationRe
     if path == "auto":
         path = "commonality" if _prefer_dense(ms, frame) else "sparse"
     if path == "commonality":
-        return fast_combine_via_commonality(ms)
+        return fast_combine_via_commonality(ms, frame=frame)
     if path != "sparse":
         raise ValueError(f"unknown combination path {path!r}")
     acc = ms[0]
@@ -156,18 +156,16 @@ def combine_all(ms: Sequence[MassFunction], path: str = "auto") -> CombinationRe
 
 
 def _prefer_dense(ms: Sequence[MassFunction], frame: Frame) -> bool:
-    if frame.n > lattice.DENSE_MAX_OUTCOMES:
+    """The product of the operands' focal counts outgrows n * 2^n."""
+    n = frame.n
+    if n > lattice.DENSE_MAX_OUTCOMES:
         return False
-    budget = frame.n << frame.n
-    product = 1
-    for m in ms:
-        product *= len(m)
-        if product > budget:
-            return True
-    return False
+    return math.prod([len(m._focal) for m in ms]) > n << n
 
 
-def fast_combine_via_commonality(ms: Sequence[MassFunction]) -> CombinationResult:
+def fast_combine_via_commonality(
+    ms: Sequence[MassFunction], *, frame: Frame | None = None
+) -> CombinationResult:
     """Combine by multiplying commonality vectors over the common core's lattice.
 
     Equivalent to the pairwise fold: the unnormalized combination's
@@ -191,11 +189,18 @@ def fast_combine_via_commonality(ms: Sequence[MassFunction]) -> CombinationResul
     Cost: one O(n * 2^n) transform per distinct operand over its lifetime
     (MassFunction.commonality_vector caches it), plus O(2^c) per operand
     and one O(c * 2^c) inversion per call, where c = |C|.
+
+    The conflict is clamped at 0: the inversion's round-off can leave the
+    empty-set entry a few ulps below 0 where the true conflict is 0. frame,
+    when given, says that ms is a non-empty list whose operands all live on
+    it (combine_all has checked); the list is then neither copied nor
+    checked again.
     """
-    ms = list(ms)
-    if not ms:
-        raise ValueError("need at least one mass function")
-    frame = _shared_frame(ms)
+    if frame is None:
+        ms = list(ms)
+        if not ms:
+            raise ValueError("need at least one mass function")
+        frame = _shared_frame(ms)
     if len(ms) == 1:
         return CombinationResult(ms[0], 0.0)
     # Fetched before the product is allocated, so an oversized frame is
@@ -214,7 +219,7 @@ def fast_combine_via_commonality(ms: Sequence[MassFunction]) -> CombinationResul
         product *= q if masks is None else q[masks]
     if c:
         lattice.superset_diff(product, c)
-    conflict = float(product[0])
+    conflict = max(float(product[0]), 0.0)  # inversion round-off can dip below 0
     floor = _DENSE_NOISE_FLOOR * (1.0 - conflict)
     kept = np.flatnonzero(product > floor)
     keys = kept if masks is None else masks[kept]

@@ -16,7 +16,6 @@ from typing import Iterable, Mapping, Sequence
 from .belief import BeliefInterval, Frame, Mask, MassFunction
 from .combine import combine_all
 from .errors import CaseSetMismatchError, EvidenceError, NoEvidenceError, TotalConflictError
-from .expert import is_vacuous
 from .extract import BpaSet
 from .records import CaseRecord, EvidenceItemId, ReferenceIntervals, discretize
 
@@ -72,24 +71,38 @@ def diagnose_case(
     entries are all vacuous still yields a result (full ignorance). Raises
     NoEvidenceError when nothing matched at all, and re-raises total conflict
     tagged with the case id.
+
+    Entries are read from the set's evidence index (BpaSet.index), which has
+    decided each entry's vacuity once. The observed focus, its labels and its
+    mass are cached on the combined mass function, so a case whose evidence
+    an earlier case already combined reuses all of them.
     """
-    dropped = set(drop_params)
+    dropped = frozenset(drop_params)
+    index = bpa.index
     reference = intervals.bounds
-    found: list[tuple[EvidenceItemId, MassFunction]] = []
-    for param in sorted(case.values):
+    values = case.values
+    matched = False
+    used: list[EvidenceItemId] = []
+    informative: list[MassFunction] = []
+    for param in sorted(values):
         bounds = reference.get(param)
         if bounds is None or param in dropped:
             continue
-        item = EvidenceItemId(param, discretize(case.values[param], bounds))
-        m = bpa.entries.get(item)
+        region = discretize(values[param], bounds)
+        regions = index.get(param)
+        hit = regions.get(region) if regions else None
+        if hit is None:
+            continue
+        matched = True
+        item, m = hit
         if m is not None:
-            found.append((item, m))
-    if not found:
+            used.append(item)
+            informative.append(m)
+    if not matched:
         raise NoEvidenceError(case.case_id)
-    informative = [(item, m) for item, m in found if not is_vacuous(m)]
     if informative:
         try:
-            result = combine_all([m for _, m in informative])
+            result = combine_all(informative)
         except TotalConflictError as exc:
             raise TotalConflictError(
                 f"case {case.case_id!r}: {exc}",
@@ -99,16 +112,19 @@ def diagnose_case(
             ) from exc
         combined, conflict = result.combined, result.conflict
     else:
-        combined, conflict = MassFunction.vacuous(bpa.frame), 0.0
-    mask = observed_set(combined)
+        combined, conflict = bpa.vacuous, 0.0
+    observed = combined._observed
+    if observed is None:
+        mask = observed_set(combined)
+        observed = combined._observed = (mask, bpa.frame.labels_of(mask), combined.mass(mask))
     return DiagnosisResult(
         case_id=case.case_id,
-        observed=mask,
-        observed_labels=bpa.frame.labels_of(mask),
-        observed_mass=combined.mass(mask),
+        observed=observed[0],
+        observed_labels=observed[1],
+        observed_mass=observed[2],
         conflict=conflict,
         intervals=combined.singleton_intervals(),
-        evidence_used=tuple(item for item, _ in informative),
+        evidence_used=tuple(used),
     )
 
 

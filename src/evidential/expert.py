@@ -7,18 +7,9 @@ exist: per evidence item (part) and per whole parameter (all).
 
 from __future__ import annotations
 
-from .belief import MassFunction
+from .belief import MassFunction, is_vacuous
 from .errors import FrameMismatchError
 from .extract import BpaSet
-
-VACUOUS_TOL = 1e-9
-
-
-def is_vacuous(m: MassFunction) -> bool:
-    """True when the only focus is the whole frame, with mass 1 within 1e-9."""
-    if len(m) != 1:
-        return False
-    return abs(m.mass(m.frame.full_mask) - 1.0) <= VACUOUS_TOL
 
 
 def part_modify(generated: BpaSet, expert: BpaSet) -> BpaSet:

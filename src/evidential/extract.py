@@ -23,12 +23,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
+from types import MappingProxyType
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
 from . import lattice
-from .belief import Frame, Mask, MassFunction
+from .belief import Frame, Mask, MassFunction, is_vacuous
 from .errors import DataFormatError, FrameMismatchError
 from .records import CaseRecord, EvidenceItemId, ReferenceIntervals, Region
 
@@ -243,20 +245,49 @@ def check_method(method: str, m3_variant: str) -> None:
         raise ValueError(f"m3_variant must be one of {M3_VARIANTS}, got {m3_variant!r}")
 
 
-@dataclass
+@dataclass(frozen=True)
 class BpaSet:
-    """Mass functions keyed by evidence item, all over one frame."""
+    """Mass functions keyed by evidence item, all over one frame.
+
+    Immutable: entries and comments are read-only views of private copies of
+    the mappings passed in, so the evidence index built from them never goes
+    stale.
+    """
 
     frame: Frame
-    entries: dict[EvidenceItemId, MassFunction]
+    entries: Mapping[EvidenceItemId, MassFunction]
     method: str = ""
     variant: str = ""
-    comments: dict[EvidenceItemId, str] = field(default_factory=dict)
+    comments: Mapping[EvidenceItemId, str] = field(default_factory=dict)
 
     def __post_init__(self) -> None:
         for item, m in self.entries.items():
             if m.frame != self.frame:
                 raise FrameMismatchError(f"entry {item} uses a different frame")
+        object.__setattr__(self, "entries", MappingProxyType(dict(self.entries)))
+        object.__setattr__(self, "comments", MappingProxyType(dict(self.comments)))
+
+    @cached_property
+    def index(self) -> dict[str, dict[Region, tuple[EvidenceItemId, MassFunction | None]]]:
+        """The entries by parameter, then region, built on first use and kept.
+
+        Each value is (item, mass function), with None in place of a vacuous
+        mass function: it is the identity of Dempster's rule, so a diagnosis
+        counts it as a match but combines nothing. Vacuity is decided here,
+        once per entry, not once per case.
+        """
+        index: dict = {}
+        for item, m in self.entries.items():
+            index.setdefault(item.parameter, {})[item.region] = (
+                item, None if is_vacuous(m) else m
+            )
+        return index
+
+    @cached_property
+    def vacuous(self) -> MassFunction:
+        """Full ignorance on the set's frame: one instance per set, so what it
+        caches (its observed focus and intervals) is computed once."""
+        return MassFunction.vacuous(self.frame)
 
     def label(self) -> str:
         """Short descriptor for reports."""

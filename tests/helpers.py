@@ -14,10 +14,12 @@ import numpy as np
 from hypothesis import strategies as st
 
 from evidential import lattice
-from evidential.belief import BeliefInterval, Frame, MassFunction, clip_interval
-from evidential.combine import CombinationResult
-from evidential.errors import TotalConflictError
-from evidential.extract import build_frequency_table, extract_bpas
+from evidential.belief import BeliefInterval, Frame, MassFunction, clip_interval, is_vacuous
+from evidential.combine import CombinationResult, combine_all
+from evidential.errors import NoEvidenceError, TotalConflictError
+from evidential.evaluate import DiagnosisResult, observed_set
+from evidential.extract import BpaSet, build_frequency_table, extract_bpas
+from evidential.records import CaseRecord, EvidenceItemId, ReferenceIntervals, discretize
 from evidential.synth import SynthConfig, generate_cases
 
 LABELS = tuple("abcdefghijkl")
@@ -137,7 +139,8 @@ def exact_singleton_intervals(masses: dict[int, Fraction], n: int) -> list[tuple
 def full_lattice_combine(ms: list[MassFunction]) -> CombinationResult:
     """The dense path as it was before it was restricted to the common core:
     multiply every operand's commonality vector over the whole 2^n lattice,
-    invert it, and renormalise through the validating constructor."""
+    invert it, clamp the conflict at 0, and renormalise through the
+    validating constructor."""
     if len(ms) == 1:
         return CombinationResult(ms[0], 0.0)
     n = ms[0].frame.n
@@ -145,7 +148,7 @@ def full_lattice_combine(ms: list[MassFunction]) -> CombinationResult:
     for m in ms:
         product *= m.commonality_vector()
     lattice.superset_diff(product, n)
-    conflict = float(product[0])
+    conflict = max(float(product[0]), 0.0)
     floor = 1e-15 * (1.0 - conflict)
     raw = {int(mask): float(product[mask]) for mask in np.nonzero(product > floor)[0] if mask}
     surviving = math.fsum(raw.values())
@@ -153,6 +156,51 @@ def full_lattice_combine(ms: list[MassFunction]) -> CombinationResult:
         raise TotalConflictError("all product mass fell on the empty set", conflict=conflict)
     combined = MassFunction(ms[0].frame, {mask: value / surviving for mask, value in raw.items()})
     return CombinationResult(combined, conflict)
+
+
+def diagnose_case_reference(
+    case: CaseRecord, bpa: BpaSet, intervals: ReferenceIntervals, drop_params=()
+) -> DiagnosisResult:
+    """evaluate.diagnose_case as it was before the evidence index: build each
+    item id, look it up in the entries, test every match for vacuity, and
+    compute the observed focus afresh."""
+    dropped = set(drop_params)
+    reference = intervals.bounds
+    found = []
+    for param in sorted(case.values):
+        bounds = reference.get(param)
+        if bounds is None or param in dropped:
+            continue
+        item = EvidenceItemId(param, discretize(case.values[param], bounds))
+        m = bpa.entries.get(item)
+        if m is not None:
+            found.append((item, m))
+    if not found:
+        raise NoEvidenceError(case.case_id)
+    informative = [(item, m) for item, m in found if not is_vacuous(m)]
+    if informative:
+        try:
+            result = combine_all([m for _, m in informative])
+        except TotalConflictError as exc:
+            raise TotalConflictError(
+                f"case {case.case_id!r}: {exc}",
+                conflict=exc.conflict,
+                step=exc.step,
+                case_id=case.case_id,
+            ) from exc
+        combined, conflict = result.combined, result.conflict
+    else:
+        combined, conflict = MassFunction.vacuous(bpa.frame), 0.0
+    mask = observed_set(combined)
+    return DiagnosisResult(
+        case_id=case.case_id,
+        observed=mask,
+        observed_labels=bpa.frame.labels_of(mask),
+        observed_mass=combined.mass(mask),
+        conflict=conflict,
+        intervals=combined.singleton_intervals(),
+        evidence_used=tuple(item for item, _ in informative),
+    )
 
 
 def pearson_reference(x: list[float], y: list[float]) -> float | None:

@@ -3,9 +3,13 @@ import sys
 import threading
 from fractions import Fraction
 
-import pytest
+import dataclasses
 
-from evidential import combine, formats
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from evidential import combine, evaluate, extract, formats
 from evidential.belief import Frame, MassFunction
 from evidential.errors import CaseSetMismatchError, NoEvidenceError, TotalConflictError
 from evidential.evaluate import (
@@ -22,7 +26,7 @@ from evidential.evaluate import (
 from evidential.extract import BpaSet
 from evidential.records import CaseRecord, EvidenceItemId, Region, ReferenceIntervals
 
-from helpers import synthetic_2b
+from helpers import diagnose_case_reference, frame_of, masses_on, synthetic_2b
 
 ABC = Frame(("a", "b", "c"))
 INTERVALS = ReferenceIntervals({"P1": (10.0, 20.0), "P2": (10.0, 20.0)})
@@ -151,6 +155,99 @@ class TestDiagnoseCase:
         assert diagnose_case(case, bpa, INTERVALS) == diagnose_case(
             case, bpa, INTERVALS, drop_params={"P2"}
         )
+
+
+# P1-P4 have reference intervals, P5 has none.
+_INDEX_PARAMS = ("P1", "P2", "P3", "P4", "P5")
+_INDEX_INTERVALS = ReferenceIntervals({p: (10.0, 20.0) for p in _INDEX_PARAMS[:4]})
+_VALUES = (5.0, 10.0, 15.0, 20.0, 25.0, math.nan, math.inf, -math.inf, None)
+
+
+def _outcome(diagnose, case, bpa, drop):
+    try:
+        return diagnose(case, bpa, _INDEX_INTERVALS, drop())
+    except (ValueError, NoEvidenceError, TotalConflictError) as exc:
+        return type(exc), str(exc), vars(exc)
+
+
+@st.composite
+def _indexed_cases(draw):
+    """A BPA set whose slots are absent, vacuous or informative, a case with
+    missing, boundary and non-finite values, and a drop list of any iterable
+    type."""
+    frame = frame_of(draw(st.integers(1, 4)))
+    entries = {}
+    for param in _INDEX_PARAMS:
+        if draw(st.booleans()):
+            continue  # no entry for any region of this parameter
+        for region in Region:
+            kind = draw(st.sampled_from(("absent", "vacuous", "informative")))
+            if kind == "vacuous":
+                entries[EvidenceItemId(param, region)] = MassFunction.vacuous(frame)
+            elif kind == "informative":
+                entries[EvidenceItemId(param, region)] = draw(masses_on(frame, max_foci=3))
+    values = {p: draw(st.sampled_from(_VALUES)) for p in _INDEX_PARAMS if draw(st.booleans())}
+    dropped = draw(st.lists(st.sampled_from(_INDEX_PARAMS + ("P9",)), max_size=3))
+    kind = draw(st.sampled_from((list, set, frozenset, iter)))
+    return BpaSet(frame, entries), CaseRecord("c", frame.labels[0], values), lambda: kind(dropped)
+
+
+class TestEvidenceIndex:
+    @settings(max_examples=400, deadline=None)
+    @given(_indexed_cases())
+    def test_same_results_and_errors_as_per_item_loop(self, drawn):
+        bpa, case, drop = drawn
+        expected = _outcome(diagnose_case_reference, case, bpa, drop)
+        assert _outcome(diagnose_case, case, bpa, drop) == expected
+        # again, with the index built and the observed focus cached
+        assert _outcome(diagnose_case, case, bpa, drop) == expected
+
+    def test_non_finite_value_checked_before_lookup(self):
+        bpa = bpa_with({EvidenceItemId("P1", Region.BELOW): simple(["a"], 0.8)})
+        # P4 has an interval but no entry at all, yet its value is discretized
+        with pytest.raises(ValueError, match="non-finite"):
+            diagnose_case(CaseRecord("c1", "a", {"P1": 5.0, "P4": math.inf}), bpa, _INDEX_INTERVALS)
+        # P5 has no interval: skipped before its value is read
+        case = CaseRecord("c2", "a", {"P1": 5.0, "P5": math.nan})
+        result = diagnose_case(case, bpa, _INDEX_INTERVALS)
+        assert result.evidence_used == (EvidenceItemId("P1", Region.BELOW),)
+
+    def test_built_once_per_set(self, monkeypatch):
+        decided = []
+        inner = extract.is_vacuous
+        monkeypatch.setattr(extract, "is_vacuous", lambda m: decided.append(m) or inner(m))
+        doc, cases, intervals = synthetic_2b()
+        bpa = BpaSet.from_dict(doc)
+        evaluate_set(cases, bpa, intervals)
+        evaluate_set(cases, bpa, intervals)
+        assert len(decided) == len(bpa.entries)
+        assert bpa.index is bpa.index and bpa.vacuous is bpa.vacuous
+
+    def test_observed_set_runs_once_per_combined_result(self, monkeypatch):
+        seen = []
+        inner = evaluate.observed_set
+        monkeypatch.setattr(evaluate, "observed_set", lambda m: seen.append(m) or inner(m))
+        doc, cases, intervals = synthetic_2b()
+        bpa = BpaSet.from_dict(doc)
+        first = evaluate_set(cases, bpa, intervals)
+        assert seen and len({id(m) for m in seen}) == len(seen)
+        assert len(seen) < first.evaluated  # some cases share a combined result
+        calls = len(seen)
+        assert evaluate_set(cases, bpa, intervals) == first
+        assert len(seen) == calls
+
+    def test_bpa_set_is_read_only(self):
+        item = EvidenceItemId("P1", Region.BELOW)
+        source = {item: simple(["a"], 0.8)}
+        bpa = BpaSet(ABC, source, comments={item: "stated"})
+        with pytest.raises(TypeError):
+            bpa.entries[EvidenceItemId("P2", Region.BELOW)] = simple(["b"], 0.8)
+        with pytest.raises(TypeError):
+            del bpa.comments[item]
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            bpa.entries = {}
+        source.clear()  # the set keeps its own copy
+        assert list(bpa.entries) == [item] and bpa.index["P1"][Region.BELOW][0] == item
 
 
 class TestClassifyMatch:

@@ -86,9 +86,13 @@ class TestPartModify:
         assert out.entries == generated.entries
 
     def test_expert_only_items_ignored(self):
-        expert = aalb_expert()
-        expert.entries[item("ACA", Region.ABOVE)] = MassFunction.from_labels(
-            GROUPS, {("1",): 1.0}
+        expert = BpaSet(
+            GROUPS,
+            {
+                **aalb_expert().entries,
+                item("ACA", Region.ABOVE): MassFunction.from_labels(GROUPS, {("1",): 1.0}),
+            },
+            method="expert",
         )
         out = part_modify(aalb_generated(), expert)
         assert item("ACA", Region.ABOVE) not in out.entries
@@ -114,8 +118,12 @@ class TestAllModify:
         assert below.mass(GROUPS.bit("6")) == 0.46
 
     def test_omitted_expert_class_becomes_vacuous(self):
-        expert = aalb_expert()
-        del expert.entries[item("AALB", Region.ABOVE)]  # omitted means vacuous
+        omitted = item("AALB", Region.ABOVE)  # omitted means vacuous
+        expert = BpaSet(
+            GROUPS,
+            {key: m for key, m in aalb_expert().entries.items() if key != omitted},
+            method="expert",
+        )
         out = all_modify(aalb_generated(), expert)
         assert out.entries[item("AALB", Region.ABOVE)] == MassFunction.vacuous(GROUPS)
 
@@ -139,9 +147,10 @@ class TestAllModify:
         assert out.entries == generated.entries
 
     def test_expert_only_items_appended_for_opined_parameter(self):
-        expert = aalb_expert()
         extra = MassFunction.from_labels(GROUPS, {("4",): 1.0})
-        expert.entries[item("ACA", Region.BELOW)] = extra
+        expert = BpaSet(
+            GROUPS, {**aalb_expert().entries, item("ACA", Region.BELOW): extra}, method="expert"
+        )
         out = all_modify(aalb_generated(), expert)
         assert out.entries[item("ACA", Region.BELOW)] == extra
 

@@ -11,7 +11,6 @@ from evidential.belief import BeliefInterval, Frame, MassFunction
 from evidential.correlate import CorrelationMatrix, Group, build_graph, prune_components
 from evidential.errors import DataFormatError
 from evidential.cli import main
-from evidential.combine import fast_combine_via_commonality
 from evidential.evaluate import CATEGORIES, CaseTrace, EvaluationReport, classify_match, evaluate_set
 from evidential.extract import (
     BpaSet,
@@ -362,13 +361,11 @@ class TestReportFiles:
                 formats.read_report(self.edited(tmp_path, _set_interval(bounds)))
 
     def test_computed_spill_reads_back(self, tmp_path):
-        """The dense path can find a conflict an ulp below 0, and a lone focus
-        of a BPA file keeps a mass up to 1e-12 over 1; the program writes
-        both, so both read back as written."""
-        m1 = MassFunction(ABC, {0b011: 0.8, 0b100: 0.2})
-        m2 = MassFunction(ABC, {0b110: 0.2, 0b101: 0.8})
-        conflict = fast_combine_via_commonality([m1, m2]).conflict
-        assert conflict < 0.0
+        """A lone focus of a BPA file keeps a mass up to 1e-12 over 1, and
+        reports written before the dense path clamped its conflict at 0 can
+        hold one an ulp below 0, as {a,b}:0.8,{c}:0.2 with {b,c}:0.2,{a,c}:0.8
+        gave; both read back as written."""
+        conflict = -1.1102230246251565e-16
         path = self.edited(tmp_path, _set_trace(conflict=conflict, observed_mass=1.0 + 1e-12))
         trace = formats.read_report(path).traces[0]
         assert (trace.conflict, trace.observed_mass) == (conflict, 1.0 + 1e-12)
