@@ -135,7 +135,7 @@ def combine_all(ms: Sequence[MassFunction], path: str = "auto") -> CombinationRe
     if path == "auto":
         path = "commonality" if _prefer_dense(ms, frame) else "sparse"
     if path == "commonality":
-        return fast_combine_via_commonality(ms, frame=frame)
+        return fast_combine_via_commonality(ms)
     if path != "sparse":
         raise ValueError(f"unknown combination path {path!r}")
     acc = ms[0]
@@ -156,16 +156,18 @@ def combine_all(ms: Sequence[MassFunction], path: str = "auto") -> CombinationRe
 
 
 def _prefer_dense(ms: Sequence[MassFunction], frame: Frame) -> bool:
-    """The product of the operands' focal counts outgrows n * 2^n."""
-    n = frame.n
-    if n > lattice.DENSE_MAX_OUTCOMES:
+    if frame.n > lattice.DENSE_MAX_OUTCOMES:
         return False
-    return math.prod([len(m._focal) for m in ms]) > n << n
+    budget = frame.n << frame.n
+    product = 1
+    for m in ms:
+        product *= len(m)
+        if product > budget:
+            return True
+    return False
 
 
-def fast_combine_via_commonality(
-    ms: Sequence[MassFunction], *, frame: Frame | None = None
-) -> CombinationResult:
+def fast_combine_via_commonality(ms: Sequence[MassFunction]) -> CombinationResult:
     """Combine by multiplying commonality vectors over the common core's lattice.
 
     Equivalent to the pairwise fold: the unnormalized combination's
@@ -191,16 +193,12 @@ def fast_combine_via_commonality(
     and one O(c * 2^c) inversion per call, where c = |C|.
 
     The conflict is clamped at 0: the inversion's round-off can leave the
-    empty-set entry a few ulps below 0 where the true conflict is 0. frame,
-    when given, says that ms is a non-empty list whose operands all live on
-    it (combine_all has checked); the list is then neither copied nor
-    checked again.
+    empty-set entry a few ulps below 0 where the true conflict is 0.
     """
-    if frame is None:
-        ms = list(ms)
-        if not ms:
-            raise ValueError("need at least one mass function")
-        frame = _shared_frame(ms)
+    ms = list(ms)
+    if not ms:
+        raise ValueError("need at least one mass function")
+    frame = _shared_frame(ms)
     if len(ms) == 1:
         return CombinationResult(ms[0], 0.0)
     # Fetched before the product is allocated, so an oversized frame is

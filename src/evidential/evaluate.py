@@ -72,13 +72,13 @@ def diagnose_case(
     NoEvidenceError when nothing matched at all, and re-raises total conflict
     tagged with the case id.
 
-    Entries are read from the set's evidence index (BpaSet.index), which has
+    Entries are read from the set's evidence index (BpaSet._index), which has
     decided each entry's vacuity once. The observed focus, its labels and its
     mass are cached on the combined mass function, so a case whose evidence
     an earlier case already combined reuses all of them.
     """
     dropped = frozenset(drop_params)
-    index = bpa.index
+    index = bpa._index
     reference = intervals.bounds
     values = case.values
     matched = False
@@ -112,7 +112,7 @@ def diagnose_case(
             ) from exc
         combined, conflict = result.combined, result.conflict
     else:
-        combined, conflict = bpa.vacuous, 0.0
+        combined, conflict = MassFunction.vacuous(bpa.frame), 0.0
     observed = combined._observed
     if observed is None:
         mask = observed_set(combined)

@@ -268,8 +268,9 @@ class BpaSet:
         object.__setattr__(self, "comments", MappingProxyType(dict(self.comments)))
 
     @cached_property
-    def index(self) -> dict[str, dict[Region, tuple[EvidenceItemId, MassFunction | None]]]:
-        """The entries by parameter, then region, built on first use and kept.
+    def _index(self) -> dict[str, dict[Region, tuple[EvidenceItemId, MassFunction | None]]]:
+        """The entries by parameter, then region, built on first use and kept;
+        read by evaluate.diagnose_case.
 
         Each value is (item, mass function), with None in place of a vacuous
         mass function: it is the identity of Dempster's rule, so a diagnosis
@@ -282,12 +283,6 @@ class BpaSet:
                 item, None if is_vacuous(m) else m
             )
         return index
-
-    @cached_property
-    def vacuous(self) -> MassFunction:
-        """Full ignorance on the set's frame: one instance per set, so what it
-        caches (its observed focus and intervals) is computed once."""
-        return MassFunction.vacuous(self.frame)
 
     def label(self) -> str:
         """Short descriptor for reports."""

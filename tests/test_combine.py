@@ -242,17 +242,6 @@ class TestCommonalityPath:
                 continue
             assert conflict >= 0.0
 
-    def test_combine_all_checks_the_frame_once(self, monkeypatch):
-        checked = []
-        inner = combine._shared_frame
-        monkeypatch.setattr(combine, "_shared_frame", lambda ms: checked.append(1) or inner(ms))
-        ms = [simple(AB, ["a"], 0.6), simple(AB, ["b"], 0.5)]
-        expected = fast_combine_via_commonality(ms)
-        checked.clear()
-        result = combine_all(iter(ms), path="commonality")
-        assert len(checked) == 1
-        assert (result.combined, result.conflict) == (expected.combined, expected.conflict)
-
     def test_random_against_sparse(self):
         rng = np.random.default_rng(7)
         for _ in range(50):
@@ -276,33 +265,6 @@ def test_commonality_path_property(ms):
         assume(False)
     dense = fast_combine_via_commonality(ms)
     assert max_mass_diff(sparse.combined, dense.combined) <= 1e-9
-
-
-def test_prefer_dense_is_the_focal_count_rule():
-    """The product of focal counts against n * 2^n, as the early-exit loop
-    over len(m) decided it."""
-
-    def loop_rule(ms, n):
-        if n > lattice.DENSE_MAX_OUTCOMES:
-            return False
-        product = 1
-        for m in ms:
-            product *= len(m)
-            if product > n << n:
-                return True
-        return False
-
-    rng = np.random.default_rng(11)
-    picks = []
-    for _ in range(300):
-        n = int(rng.integers(1, 8))
-        frame = frame_of(n)
-        ms = [random_mass(frame, rng, max_foci=40) for _ in range(int(rng.integers(1, 9)))]
-        picks.append(combine._prefer_dense(ms, frame))
-        assert picks[-1] == loop_rule(ms, n)
-    big = Frame(tuple(f"x{i}" for i in range(21)))
-    assert not combine._prefer_dense([MassFunction.vacuous(big)], big)
-    assert 0 < sum(picks) < len(picks)
 
 
 @settings(max_examples=100)

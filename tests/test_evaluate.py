@@ -221,7 +221,7 @@ class TestEvidenceIndex:
         evaluate_set(cases, bpa, intervals)
         evaluate_set(cases, bpa, intervals)
         assert len(decided) == len(bpa.entries)
-        assert bpa.index is bpa.index and bpa.vacuous is bpa.vacuous
+        assert bpa._index is bpa._index
 
     def test_observed_set_runs_once_per_combined_result(self, monkeypatch):
         seen = []
@@ -246,8 +246,10 @@ class TestEvidenceIndex:
             del bpa.comments[item]
         with pytest.raises(dataclasses.FrozenInstanceError):
             bpa.entries = {}
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            bpa._index = {}  # the index is private and never reassigned
         source.clear()  # the set keeps its own copy
-        assert list(bpa.entries) == [item] and bpa.index["P1"][Region.BELOW][0] == item
+        assert list(bpa.entries) == [item] and bpa._index["P1"][Region.BELOW][0] == item
 
 
 class TestClassifyMatch:
