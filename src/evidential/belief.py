@@ -141,12 +141,11 @@ class MassFunction:
 
     Derived values are cached on the instance on first use: the core (the
     union of the focal sets, as a mask), the commonality vector, the
-    singleton belief intervals, (filled by evaluate.diagnose_case) the
-    observed focus with its labels and mass, and (filled by
-    combine.dempster_combine) the result of combining this instance, as the
-    left operand, with each right operand it has met. Each cache entry
-    depends only on the instance and its operand, so a thread that races
-    another on a first use stores an equal value.
+    singleton belief intervals, the observed focus with its labels and mass,
+    and (filled by combine.combine_all's sparse fold) the result of
+    combining this instance, as the left operand, with each right operand it
+    has met. Each cache entry depends only on the instance and its operand,
+    so a thread that races another on a first use stores an equal value.
     """
 
     __slots__ = ("frame", "_focal", "_core", "_q", "_intervals", "_observed", "_combinations")
@@ -168,34 +167,30 @@ class MassFunction:
             raise NotNormalizedError(total)
         if abs(total - 1.0) > _RESCALE_TOL:
             focal = {mask: value / total for mask, value in focal.items()}
-        self.frame = frame
-        self._focal = focal
-        self._core: Mask | None = None
-        self._q: np.ndarray | None = None
-        self._intervals: tuple[BeliefInterval, ...] | None = None
-        # (mask, labels, mass) of the observed focus; see evaluate.diagnose_case
-        self._observed: tuple[Mask, tuple[str, ...], float] | None = None
-        # id(right) -> (right, CombinationResult); see combine.dempster_combine
-        self._combinations: dict | None = None
+        self._adopt(frame, focal)
 
     @classmethod
     def _normalised(cls, frame: Frame, masses: dict[Mask, float]) -> "MassFunction":
         """Trusted constructor for masses that are normalised by construction.
 
-        masses maps int masks on frame to non-negative floats, none on the
-        empty set, with an fsum within 1e-12 of 1: what __init__ would keep
-        verbatim. Zero masses are dropped as __init__ drops them; nothing else
-        is checked.
+        masses maps int masks on frame to positive floats, none on the empty
+        set, with an fsum within 1e-12 of 1: what __init__ would keep
+        verbatim. Nothing is checked, and the dict is adopted, not copied, so
+        the caller must not keep it.
         """
         self = cls.__new__(cls)
-        self.frame = frame
-        self._focal = {mask: value for mask, value in masses.items() if value}
-        self._core = None
-        self._q = None
-        self._intervals = None
-        self._observed = None
-        self._combinations = None
+        self._adopt(frame, masses)
         return self
+
+    def _adopt(self, frame: Frame, focal: dict[Mask, float]) -> None:
+        self.frame = frame
+        self._focal = focal
+        self._core: Mask | None = None
+        self._q: np.ndarray | None = None
+        self._intervals: tuple[BeliefInterval, ...] | None = None
+        self._observed: tuple[Mask, tuple[str, ...], float] | None = None
+        # id(right) -> (right, CombinationResult); see combine.combine_all
+        self._combinations: dict | None = None
 
     @classmethod
     def vacuous(cls, frame: Frame) -> "MassFunction":
@@ -299,6 +294,22 @@ class MassFunction:
             )
             self._intervals = intervals
         return intervals
+
+    def observed(self) -> tuple[Mask, tuple[str, ...], float]:
+        """The focus the evidence points at: (mask, labels, mass) (cached).
+
+        Highest mass wins; ties fall to higher belief, then fewer outcomes,
+        then the smaller mask, so the choice is deterministic.
+        """
+        observed = self._observed
+        if observed is None:
+            best = max(self._focal.values())
+            candidates = [mask for mask, value in self._focal.items() if value == best]
+            mask = candidates[0] if len(candidates) == 1 else min(
+                candidates, key=lambda mask: (-self.belief(mask), mask.bit_count(), mask)
+            )
+            observed = self._observed = (mask, self.frame.labels_of(mask), best)
+        return observed
 
     def commonality_vector(self) -> np.ndarray:
         """Commonality of every subset, indexed by mask (cached, read-only).

@@ -12,7 +12,6 @@ had usable evidence). A failed `pipeline` stage exits as its cause would.
 from __future__ import annotations
 
 import argparse
-import csv
 import sys
 from dataclasses import asdict, fields
 from pathlib import Path
@@ -26,7 +25,7 @@ from .errors import (
     PipelineError,
     TotalConflictError,
 )
-from .evaluate import CASE_ERRORS, MatchCategory, compare_methods, diagnose_case
+from .evaluate import CASE_ERRORS, compare_methods, diagnose_case
 from .extract import M3_VARIANTS, METHODS
 from .pipeline import EXPERT_MODES, MODIFY_MODES, PipelineConfig, run_pipeline
 from .pipeline import evaluate, extract, frequency, modify, prune
@@ -249,33 +248,12 @@ def cmd_evaluate(args) -> int:
     return EXIT_OK
 
 
-def _read_paired(path) -> dict[str, tuple[str, str]]:
-    paired = {}
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header != ["case_id", "category_a", "category_b"]:
-            raise DataFormatError(f"{path}: header must be case_id,category_a,category_b")
-        for row in reader:
-            if not row or all(not cell.strip() for cell in row):
-                continue
-            if len(row) != 3:
-                raise DataFormatError(f"{path}: expected 3 cells per row")
-            case_id, cat_a, cat_b = row
-            if case_id in paired:
-                raise DataFormatError(f"{path}: case {case_id!r} is listed twice")
-            if not {cat_a, cat_b} <= {cat.value for cat in MatchCategory}:
-                raise DataFormatError(f"{path}: case {case_id!r}: categories must be PM, IM or NM")
-            paired[case_id] = (cat_a, cat_b)
-    return paired
-
-
 def cmd_compare(args) -> int:
     if len(args.reports) != 2:
         raise DataFormatError("compare needs exactly two --report arguments")
     report_a = formats.read_report(args.reports[0])
     report_b = formats.read_report(args.reports[1])
-    paired = _read_paired(args.paired) if args.paired else None
+    paired = formats.read_paired(args.paired) if args.paired else None
     verdict = compare_methods(report_a, report_b, paired, alpha=args.alpha)
     print(f"{verdict.label_a} vs {verdict.label_b}: "
           f"PM only under A = {verdict.pm_only_a}, PM only under B = {verdict.pm_only_b}")

@@ -23,11 +23,11 @@ threshold to its running product prod(1 - k_step), so a fold whose steps
 each keep a little, but whose product keeps less, is total conflict on both
 paths, as it is for the dense path's aggregate.
 
-The sparse path memoizes each pairwise step on its left operand. Dempster's
-rule is a pure function of its two operands, and a fold's operands come from
-one finite BPA set, so cases that share a prefix of matched evidence share
-the cached results of that prefix: each distinct prefix is combined once
-while the set's mass functions live. The dense path keeps no such cache.
+dempster_combine is a pure function. combine_all's sparse fold memoizes each
+step on its left operand; a fold's operands come from one finite BPA set, so
+cases that share a prefix of matched evidence share the cached results of
+that prefix: each distinct prefix is combined once while the set's mass
+functions live. The dense path keeps no such cache.
 """
 
 from __future__ import annotations
@@ -67,14 +67,14 @@ def _renormalised(frame: Frame, raw: dict[Mask, float], conflict: float) -> Comb
 
     Divides by the fsum of raw, the surviving mass this combination actually
     recovered, and raises TotalConflictError when 1 - conflict or that sum is
-    at most _MIN_SURVIVING_MASS. The quotients sum to 1 by construction, so
-    the result skips MassFunction's validating constructor.
+    at most _MIN_SURVIVING_MASS. The quotients, less any that underflow to 0,
+    sum to 1 by construction, so the result skips the validating constructor.
     """
     surviving = math.fsum(raw.values())
     if min(1.0 - conflict, surviving) <= _MIN_SURVIVING_MASS:
         raise TotalConflictError("all product mass fell on the empty set", conflict=conflict)
     combined = MassFunction._normalised(
-        frame, {mask: value / surviving for mask, value in raw.items()}
+        frame, {mask: q for mask, value in raw.items() if (q := value / surviving)}
     )
     return CombinationResult(combined, conflict)
 
@@ -85,33 +85,18 @@ def dempster_combine(m1: MassFunction, m2: MassFunction) -> CombinationResult:
     The conflict k is the fsum of the products whose focal intersections are
     empty; each surviving mass is divided by the fsum of all surviving
     products. Raises TotalConflictError when 1 - k or that sum is at most
-    1e-12 (the module's one total-conflict rule).
-
-    Memoized on the left operand: the result is kept on m1 under id(m2),
-    together with m2 itself so that id stays m2's while the entry lives, and
-    a later call with the same m2 object returns the identical result.
-    Nothing in the result refers back to m1, so a fold's cached results are
-    freed by reference counting once its first operand goes (combining m2
-    with m1 as well makes a cycle, which the cycle collector frees). A
-    total conflict is never cached.
+    1e-12 (the module's one total-conflict rule). Neither operand is
+    changed.
     """
-    memo = m1._combinations
-    if memo is None:
-        memo = m1._combinations = {}
-    hit = memo.get(id(m2))
-    if hit is not None:
-        return hit[1]
     frame = _shared_frame((m1, m2))
     buckets: dict[Mask, list[float]] = {}
     for a, va in m1.items():
         for b, vb in m2.items():
             buckets.setdefault(a & b, []).append(va * vb)
     conflict = math.fsum(buckets.pop(0, ()))
-    result = _renormalised(
+    return _renormalised(
         frame, {mask: math.fsum(vals) for mask, vals in buckets.items()}, conflict
     )
-    memo[id(m2)] = (m2, result)
-    return result
 
 
 def combine_all(ms: Sequence[MassFunction], path: str = "auto") -> CombinationResult:
@@ -127,6 +112,12 @@ def combine_all(ms: Sequence[MassFunction], path: str = "auto") -> CombinationRe
     raises, with the failing step, when a step is total conflict or when its
     running product prod(1 - k_step) falls to 1e-12 or below, which is where
     the dense path finds its aggregate surviving mass gone.
+
+    A sparse step's result is kept on its left operand under id(m), with m
+    itself so the id stays m's, and read back when a fold meets the same two
+    objects again. Nothing in a result refers back to its left operand, so
+    the cache is freed with the fold's first operand (by the cycle collector
+    if another fold put m first). Total conflict is not kept.
     """
     ms = list(ms)
     if not ms:
@@ -141,13 +132,18 @@ def combine_all(ms: Sequence[MassFunction], path: str = "auto") -> CombinationRe
     acc = ms[0]
     kept = 1.0
     for step, m in enumerate(ms[1:], start=1):
+        memo = acc._combinations
+        if memo is None:
+            memo = acc._combinations = {}
+        hit = memo.get(id(m))
         try:
-            result = dempster_combine(acc, m)
+            if hit is None:  # stored only once the step has succeeded
+                hit = memo[id(m)] = (m, dempster_combine(acc, m))
         except TotalConflictError:
             kept = 0.0
         else:
-            acc = result.combined
-            kept *= 1.0 - result.conflict
+            acc = hit[1].combined
+            kept *= 1.0 - hit[1].conflict
         if kept <= _MIN_SURVIVING_MASS:
             raise TotalConflictError(
                 f"total conflict while folding operand {step}", conflict=1.0 - kept, step=step
@@ -219,11 +215,9 @@ def fast_combine_via_commonality(ms: Sequence[MassFunction]) -> CombinationResul
         lattice.superset_diff(product, c)
     conflict = max(float(product[0]), 0.0)  # inversion round-off can dip below 0
     floor = _DENSE_NOISE_FLOOR * (1.0 - conflict)
-    kept = np.flatnonzero(product > floor)
+    kept = np.flatnonzero(product[1:] > floor) + 1  # index 0 is the empty set
     keys = kept if masks is None else masks[kept]
-    raw = dict(zip(keys.tolist(), product[kept].tolist()))
-    raw.pop(0, None)
-    return _renormalised(frame, raw, conflict)
+    return _renormalised(frame, dict(zip(keys.tolist(), product[kept].tolist())), conflict)
 
 
 def _core_subsets(core_bits: list[int]) -> np.ndarray:

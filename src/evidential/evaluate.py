@@ -45,16 +45,9 @@ class DiagnosisResult:
 
 
 def observed_set(m: MassFunction) -> Mask:
-    """The focal element the combined evidence points at.
-
-    Highest mass wins; ties fall to higher belief, then fewer outcomes, then
-    the smallest mask, so the choice is deterministic.
-    """
-    best_mass = max(v for _, v in m.items())
-    candidates = [mask for mask, v in m.items() if v == best_mass]
-    if len(candidates) == 1:
-        return candidates[0]
-    return min(candidates, key=lambda mask: (-m.belief(mask), mask.bit_count(), mask))
+    """The focal element the combined evidence points at; see
+    MassFunction.observed for the tie rule."""
+    return m.observed()[0]
 
 
 def diagnose_case(
@@ -73,9 +66,9 @@ def diagnose_case(
     tagged with the case id.
 
     Entries are read from the set's evidence index (BpaSet._index), which has
-    decided each entry's vacuity once. The observed focus, its labels and its
-    mass are cached on the combined mass function, so a case whose evidence
-    an earlier case already combined reuses all of them.
+    decided each entry's vacuity once. The combined mass function caches its
+    observed focus and singleton intervals, so a case whose evidence an
+    earlier case already combined reuses both.
     """
     dropped = frozenset(drop_params)
     index = bpa._index
@@ -113,15 +106,12 @@ def diagnose_case(
         combined, conflict = result.combined, result.conflict
     else:
         combined, conflict = MassFunction.vacuous(bpa.frame), 0.0
-    observed = combined._observed
-    if observed is None:
-        mask = observed_set(combined)
-        observed = combined._observed = (mask, bpa.frame.labels_of(mask), combined.mass(mask))
+    observed, observed_labels, observed_mass = combined.observed()
     return DiagnosisResult(
         case_id=case.case_id,
-        observed=observed[0],
-        observed_labels=observed[1],
-        observed_mass=observed[2],
+        observed=observed,
+        observed_labels=observed_labels,
+        observed_mass=observed_mass,
         conflict=conflict,
         intervals=combined.singleton_intervals(),
         evidence_used=tuple(used),

@@ -67,10 +67,14 @@ class FrequencyEntry:
 
 @dataclass(frozen=True)
 class FrequencyTable:
-    """Outcome counts per evidence item, all over one frame."""
+    """Outcome counts per evidence item, all over one frame. Immutable:
+    entries is a read-only view of a copy taken at construction."""
 
     frame: Frame
-    entries: dict[EvidenceItemId, FrequencyEntry]
+    entries: Mapping[EvidenceItemId, FrequencyEntry]
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "entries", MappingProxyType(dict(self.entries)))
 
 
 def build_frequency_table(

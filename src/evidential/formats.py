@@ -96,13 +96,7 @@ def parse_cases(path) -> list[CaseRecord]:
     return parse_case_table(path)[1]
 
 
-def write_case_table(cases: Sequence[CaseRecord], path, params: Sequence[str] | None = None) -> None:
-    if params is None:
-        ordered: dict[str, None] = {}
-        for case in cases:
-            for param in case.values:
-                ordered.setdefault(param)
-        params = list(ordered)
+def write_case_table(cases: Sequence[CaseRecord], path, params: Sequence[str]) -> None:
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["case_id", "outcome", *params])
@@ -148,6 +142,33 @@ def write_intervals(intervals: ReferenceIntervals, path) -> None:
         writer.writerow(["parameter", "low", "high"])
         for param, (low, high) in intervals.bounds.items():
             writer.writerow([param, repr(low), repr(high)])
+
+
+# --- paired categories CSV ------------------------------------------------------
+
+def read_paired(path) -> dict[str, tuple[str, str]]:
+    """Paired CSV for `compare --paired`: header case_id,category_a,category_b;
+    one row per case, each category PM, IM or NM, no case id twice."""
+    paired: dict[str, tuple[str, str]] = {}
+    with open(path, newline="") as fh:
+        reader = csv.reader(fh)
+        header = next(reader, None)
+        if header != ["case_id", "category_a", "category_b"]:
+            raise DataFormatError(f"{path}: header must be case_id,category_a,category_b")
+        for lineno, row in enumerate(reader, start=2):
+            if not row or all(not cell.strip() for cell in row):
+                continue
+            if len(row) != 3:
+                raise DataFormatError(f"{path}:{lineno}: expected 3 cells")
+            case_id, cat_a, cat_b = row
+            if case_id in paired:
+                raise DataFormatError(f"{path}:{lineno}: case {case_id!r} is listed twice")
+            if not {cat_a, cat_b} <= {cat.value for cat in MatchCategory}:
+                raise DataFormatError(
+                    f"{path}:{lineno}: case {case_id!r}: categories must be PM, IM or NM"
+                )
+            paired[case_id] = (cat_a, cat_b)
+    return paired
 
 
 # --- BPA sets ----------------------------------------------------------------

@@ -58,9 +58,6 @@ class ReferenceIntervals:
             clean[param] = (low, high)
         object.__setattr__(self, "bounds", clean)
 
-    def __contains__(self, param: str) -> bool:
-        return param in self.bounds
-
     def parameters(self) -> tuple[str, ...]:
         return tuple(self.bounds)
 

@@ -11,6 +11,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from evidential.belief import BeliefInterval, Frame, MassFunction, clip_interval
+from evidential import combine
 from evidential.combine import combine_all
 from evidential.errors import (
     EmptySetMassError,
@@ -136,28 +137,30 @@ class TestConstruction:
 
 
 @st.composite
-def _renormalised_masses(draw):
-    """A frame and masses divided by their fsum, as a combination builds them:
-    zeros (also on the empty set) and subnormal values included."""
+def _unnormalised_masses(draw):
+    """A frame and unnormalised masses as a combination collects them: zeros
+    (also on the empty set) and subnormal values included."""
     frame = frame_of(draw(st.integers(1, 8)))
     weight = st.one_of(
         st.just(0.0), st.floats(5e-324, 1e-300), st.floats(1e-9, 1.0, allow_nan=False)
     )
     raw = draw(st.dictionaries(st.integers(1, frame.full_mask), weight, min_size=1, max_size=12))
-    surviving = math.fsum(raw.values())
-    assume(surviving > 0.0)
-    masses = {mask: value / surviving for mask, value in raw.items()}
     if draw(st.booleans()):
-        masses[0] = 0.0
-    return frame, masses
+        raw[0] = 0.0
+    return frame, raw
 
 
 @settings(max_examples=200)
-@given(_renormalised_masses())
+@given(_unnormalised_masses())
 def test_trusted_constructor_equals_validating_one(case):
-    frame, masses = case
-    trusted = MassFunction._normalised(frame, masses)
-    validated = MassFunction(frame, masses)
+    frame, raw = case
+    surviving = math.fsum(raw.values())
+    if surviving <= 1e-12:  # no mass, or only subnormal mass: total conflict
+        with pytest.raises(TotalConflictError):
+            combine._renormalised(frame, raw, 0.0)
+        return
+    trusted = combine._renormalised(frame, raw, 0.0).combined
+    validated = MassFunction(frame, {mask: value / surviving for mask, value in raw.items()})
     assert trusted == validated
     assert list(trusted.items()) == list(validated.items())
     assert np.array_equal(trusted.commonality_vector(), validated.commonality_vector())

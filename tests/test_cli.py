@@ -205,19 +205,20 @@ class TestCompare:
         assert code == 0
         assert "PM only under A = 3, PM only under B = 0" in out
 
-    @pytest.mark.parametrize("rows", [
-        ["x1,PM,banana", "x2,NM,NM"],
-        ["x1,PM,NM", "x2,pm,NM"],
-        ["x1,PM,NM", "x2,NM,NM", "x1,NM,NM"],
-    ], ids=["unknown-category", "lower-case-category", "repeated-case"])
-    def test_compare_refuses_bad_paired_file(self, dataset, tmp_path, capsys, rows):
+    @pytest.mark.parametrize("rows, line", [
+        (["x1,PM,banana", "x2,NM,NM"], 2),
+        (["x1,PM,NM", "x2,pm,NM"], 3),
+        (["x1,PM,NM", "x2,NM,NM", "x1,NM,NM"], 4),
+        (["x1,PM,NM", "x2,NM"], 3),
+    ], ids=["unknown-category", "lower-case-category", "repeated-case", "short-row"])
+    def test_compare_refuses_bad_paired_file(self, dataset, tmp_path, capsys, rows, line):
         report = self._report(dataset, tmp_path)
         paired = tmp_path / "paired.csv"
         paired.write_text("case_id,category_a,category_b\n" + "\n".join(rows) + "\n")
         capsys.readouterr()
         assert run("compare", "--report", report, "--report", report,
                    "--paired", str(paired)) == 2
-        assert str(paired) in capsys.readouterr().err
+        assert f"{paired}:{line}: " in capsys.readouterr().err
 
     @pytest.mark.parametrize("alpha", ["5.0", "1", "0", "-0.05"])
     def test_compare_refuses_alpha_outside_unit_interval(self, dataset, tmp_path, capsys, alpha):

@@ -74,10 +74,17 @@ class TestDempsterCombine:
     def test_repeat_call_returns_cached_result(self):
         m1 = simple(AB, ["a"], 0.6)
         m2 = simple(AB, ["b"], 0.5)
-        first = dempster_combine(m1, m2)
-        assert dempster_combine(m1, m2) is first
+        # dempster_combine itself is pure: no cache, neither operand touched
+        direct = dempster_combine(m1, m2)
+        assert dempster_combine(m1, m2) == direct
+        assert dempster_combine(m1, m2).combined is not direct.combined
+        assert m1._combinations is None and m2._combinations is None
+        # the sparse fold caches each step on its left operand
+        first = combine_all([m1, m2], path="sparse").combined
+        assert first == direct.combined
+        assert combine_all([m1, m2], path="sparse").combined is first
         # keyed on the right operand's identity: an equal copy is combined anew
-        again = dempster_combine(m1, simple(AB, ["b"], 0.5))
+        again = combine_all([m1, simple(AB, ["b"], 0.5)], path="sparse").combined
         assert again is not first
         assert again == first
 

@@ -224,9 +224,15 @@ class TestEvidenceIndex:
         assert bpa._index is bpa._index
 
     def test_observed_set_runs_once_per_combined_result(self, monkeypatch):
-        seen = []
-        inner = evaluate.observed_set
-        monkeypatch.setattr(evaluate, "observed_set", lambda m: seen.append(m) or inner(m))
+        seen = []  # mass functions whose observed focus was computed, not read back
+        inner = MassFunction.observed
+
+        def spy(m):
+            if m._observed is None:
+                seen.append(m)
+            return inner(m)
+
+        monkeypatch.setattr(MassFunction, "observed", spy)
         doc, cases, intervals = synthetic_2b()
         bpa = BpaSet.from_dict(doc)
         first = evaluate_set(cases, bpa, intervals)
@@ -334,24 +340,22 @@ def test_report_bytes_equal_on_fresh_and_warm_memo(tmp_path, monkeypatch):
     doc, cases, intervals = synthetic_2b()
     fresh_path, warm_path = tmp_path / "fresh.json", tmp_path / "warm.json"
     formats.write_report(evaluate_set(cases, BpaSet.from_dict(doc), intervals), fresh_path)
-    first, second = [], []
-    log = first
+    calls = []
     inner = combine.dempster_combine
 
     def spy(m1, m2):
-        log.append(inner(m1, m2))
-        return log[-1]
+        calls.append((m1, m2))
+        return inner(m1, m2)
 
     monkeypatch.setattr(combine, "dempster_combine", spy)
     warm = BpaSet.from_dict(doc)
     evaluate_set(cases, warm, intervals)
-    log = second
+    assert calls
+    calls.clear()
     formats.write_report(evaluate_set(cases, warm, intervals), warm_path)
     assert warm_path.read_bytes() == fresh_path.read_bytes()
-    # the warm run repeats every step and gets each cached result back
-    assert first
-    assert len(second) == len(first)
-    assert all(a is b for a, b in zip(first, second))
+    # the warm run finds every step in the fold memo and combines nothing
+    assert calls == []
 
 
 def test_shared_bpa_set_diagnoses_under_thread_races():

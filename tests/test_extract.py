@@ -11,6 +11,7 @@ from evidential.extract import (
     METHODS,
     BpaSet,
     FrequencyEntry,
+    FrequencyTable,
     build_frequency_table,
     extract_bpas,
     method1_consonant,
@@ -52,6 +53,14 @@ class TestFrequencyTable:
         above = table.entries[EvidenceItemId("AALB", Region.ABOVE)]
         assert above.freq == (0.0, 0.0, 1.0)
         assert above.support == 1
+
+    def test_table_is_read_only(self):
+        counts = {EvidenceItemId("AALB", Region.BELOW): FrequencyEntry((1, 0, 0))}
+        table = FrequencyTable(ABC, counts)
+        with pytest.raises(TypeError):
+            table.entries[EvidenceItemId("AALB", Region.ABOVE)] = FrequencyEntry((0, 1, 0))
+        counts.clear()  # the table keeps its own copy
+        assert list(table.entries) == [EvidenceItemId("AALB", Region.BELOW)]
 
     def test_missing_value_contributes_nothing(self):
         cases = [case("c1", "a", 5.0), case("c2", "a", None)]
