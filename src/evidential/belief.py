@@ -95,9 +95,6 @@ class Frame:
         mask = self.check_mask(mask)
         return tuple(label for i, label in enumerate(self.labels) if mask >> i & 1)
 
-    def complement(self, mask: Mask) -> Mask:
-        return self.full_mask & ~self.check_mask(mask)
-
     def check_mask(self, mask: Mask) -> Mask:
         """Validate that mask addresses a subset of this frame; returns it as int."""
         try:
@@ -238,12 +235,9 @@ class MassFunction:
             return 1.0
         return math.fsum(v for f, v in self._focal.items() if f & ~mask == 0)
 
-    def plausibility(self, mask: Mask) -> float:
-        """Mass not committed against mask: 1 - belief of the complement."""
-        return 1.0 - self.belief(self.frame.complement(mask))
-
     def interval(self, mask: Mask) -> BeliefInterval:
-        return clip_interval(self.belief(mask), self.plausibility(mask))
+        """Belief and plausibility of mask; plausibility is 1 - belief of its complement."""
+        return clip_interval(self.belief(mask), 1.0 - self.belief(self.frame.full_mask & ~mask))
 
     def core(self) -> Mask:
         """Union of the focal sets, as a mask (cached).
@@ -329,8 +323,7 @@ class MassFunction:
                     f"{lattice.DENSE_MAX_OUTCOMES} outcomes, got {n}"
                 )
             q = np.zeros(1 << n)
-            for mask, value in self._focal.items():
-                q[mask] = value
+            q[list(self._focal)] = list(self._focal.values())
             lattice.superset_sum(q, n)
             q.setflags(write=False)
             self._q = q

@@ -207,27 +207,23 @@ def method3(frame: Frame, freq: Sequence[float], variant: str = M3_DEFAULT_VARIA
     values = _proportions(freq, n)
     size = 1 << n
     raw = np.zeros(size)
-    for i, v in enumerate(values):
-        raw[1 << i] = v
+    raw[1 << np.arange(n)] = values
     lattice.subset_sum(raw, n)
     raw[size - 1] = theta_score
     total = math.fsum(raw[1:])
     if total <= 0.0:
         raise ValueError("every subset scored zero; nothing to normalize")
-    masses: dict[Mask, float] = {}
+    kept = np.flatnonzero(raw > 0.0)  # raw[0], the empty set, scores 0
     if norm == "global":
-        for mask in range(1, size):
-            if raw[mask] > 0.0:
-                masses[mask] = raw[mask] / total
+        quotients = raw[kept] / total
     else:
-        strata: list[list[float]] = [[] for _ in range(n + 1)]
-        for mask in range(1, size):
-            strata[mask.bit_count()].append(raw[mask])
-        stratum_total = [math.fsum(vals) for vals in strata]
-        active = sum(1 for t in stratum_total if t > 0.0)
-        for mask in range(1, size):
-            if raw[mask] > 0.0:
-                masses[mask] = raw[mask] / (stratum_total[mask.bit_count()] * active)
+        size_of = np.zeros(size, dtype=np.intp)  # member count, by doubling
+        for k in range(n):
+            size_of[1 << k: 2 << k] = size_of[: 1 << k] + 1
+        stratum_total = np.array([math.fsum(raw[size_of == k]) for k in range(n + 1)])
+        active = np.count_nonzero(stratum_total > 0.0)
+        quotients = raw[kept] / (stratum_total[size_of[kept]] * active)
+    masses = dict(zip(kept.tolist(), quotients.tolist()))
     return MassFunction(frame, masses)
 
 

@@ -49,8 +49,10 @@ def load_json(path) -> dict:
 def parse_case_table(path) -> tuple[list[str], list[CaseRecord]]:
     """Cases CSV: header case_id,outcome,<param...>; empty cells are missing.
 
-    Duplicate case ids are kept but warned about, with later occurrences
-    suffixed #2, #3, ... so downstream pairing stays unambiguous.
+    Duplicate case ids are kept but warned about, each repeat taking the
+    first free suffix #2, #3, ... so downstream pairing stays unambiguous.
+    Parameter names must read back from a removal list as written: not
+    empty, not padded with whitespace, on one line and not starting with #.
     """
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
@@ -60,8 +62,12 @@ def parse_case_table(path) -> tuple[list[str], list[CaseRecord]]:
         params = header[2:]
         if len(set(params)) != len(params):
             raise DataFormatError(f"{path}: duplicate parameter column")
+        for param in params:
+            if param != param.strip() or param.splitlines() != [param] or param.startswith("#"):
+                raise DataFormatError(f"{path}: parameter name {param!r} must be non-empty, "
+                                      "unpadded, on one line and not start with #")
         cases: list[CaseRecord] = []
-        seen: dict[str, int] = {}
+        given: dict[str, int] = {}  # id given so far -> first suffix a repeat may try
         for lineno, row in enumerate(reader, start=2):
             if not row or all(not cell.strip() for cell in row):
                 continue
@@ -83,11 +89,14 @@ def parse_case_table(path) -> tuple[list[str], list[CaseRecord]]:
                     raise DataFormatError(
                         f"{path}:{lineno}: non-numeric value {cell!r} for {param}"
                     ) from None
-            count = seen.get(case_id, 0) + 1
-            seen[case_id] = count
-            if count > 1:
-                warnings.warn(f"{path}: duplicate case_id {case_id!r}, keeping as {case_id}#{count}")
-                case_id = f"{case_id}#{count}"
+            if case_id in given:
+                k = given[case_id]
+                while f"{case_id}#{k}" in given:
+                    k += 1
+                given[case_id] = k + 1
+                warnings.warn(f"{path}: duplicate case_id {case_id!r}, keeping as {case_id}#{k}")
+                case_id = f"{case_id}#{k}"
+            given[case_id] = 2
             cases.append(CaseRecord(case_id, outcome, values))
     return params, cases
 

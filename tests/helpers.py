@@ -18,7 +18,15 @@ from evidential.belief import BeliefInterval, Frame, MassFunction, clip_interval
 from evidential.combine import CombinationResult, combine_all
 from evidential.errors import NoEvidenceError, TotalConflictError
 from evidential.evaluate import DiagnosisResult, observed_set
-from evidential.extract import BpaSet, build_frequency_table, extract_bpas
+from evidential.extract import (
+    _M3_PARAMS,
+    M3_DEFAULT_VARIANT,
+    BpaSet,
+    _proportions,
+    build_frequency_table,
+    check_method,
+    extract_bpas,
+)
 from evidential.records import CaseRecord, EvidenceItemId, ReferenceIntervals, discretize
 from evidential.synth import SynthConfig, generate_cases
 
@@ -156,6 +164,44 @@ def full_lattice_combine(ms: list[MassFunction]) -> CombinationResult:
         raise TotalConflictError("all product mass fell on the empty set", conflict=conflict)
     combined = MassFunction(ms[0].frame, {mask: value / surviving for mask, value in raw.items()})
     return CombinationResult(combined, conflict)
+
+
+def method3_reference(frame: Frame, freq, variant: str = M3_DEFAULT_VARIANT) -> MassFunction:
+    """extract.method3 as it was before its normalisation was vectorised:
+    one Python pass over the 2^n - 1 subset indices per step, with the
+    cardinality of each mask from int.bit_count."""
+    check_method("3", variant)
+    norm, theta_score = _M3_PARAMS[variant]
+    n = frame.n
+    if n > lattice.DENSE_MAX_OUTCOMES:
+        raise ValueError(
+            f"dense subset scoring supports at most {lattice.DENSE_MAX_OUTCOMES} outcomes, got {n}"
+        )
+    values = _proportions(freq, n)
+    size = 1 << n
+    raw = np.zeros(size)
+    for i, v in enumerate(values):
+        raw[1 << i] = v
+    lattice.subset_sum(raw, n)
+    raw[size - 1] = theta_score
+    total = math.fsum(raw[1:])
+    if total <= 0.0:
+        raise ValueError("every subset scored zero; nothing to normalize")
+    masses: dict[int, float] = {}
+    if norm == "global":
+        for mask in range(1, size):
+            if raw[mask] > 0.0:
+                masses[mask] = raw[mask] / total
+    else:
+        strata: list[list[float]] = [[] for _ in range(n + 1)]
+        for mask in range(1, size):
+            strata[mask.bit_count()].append(raw[mask])
+        stratum_total = [math.fsum(vals) for vals in strata]
+        active = sum(1 for t in stratum_total if t > 0.0)
+        for mask in range(1, size):
+            if raw[mask] > 0.0:
+                masses[mask] = raw[mask] / (stratum_total[mask.bit_count()] * active)
+    return MassFunction(frame, masses)
 
 
 def diagnose_case_reference(

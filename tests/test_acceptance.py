@@ -62,7 +62,7 @@ def test_criterion_1_consonant_extraction_suite():
         assert is_consonant(m)
         top = max(freq)
         for i, f in enumerate(freq):
-            assert abs(m.plausibility(1 << i) - f / top) <= 1e-12
+            assert abs(m.interval(1 << i).upper - f / top) <= 1e-12
     elapsed = time.perf_counter() - start
     assert elapsed < 5.0, f"suite took {elapsed:.2f}s"
 

@@ -72,7 +72,9 @@ class TestFrame:
         assert ABC.labels_of(mask) == ("a", "c")
 
     def test_complement(self):
-        assert ABC.complement(ABC.bit("a")) == ABC.mask_of(["b", "c"])
+        # Pl({a}) is 1 - Bel of the complement {b, c}, which holds all the mass
+        m = MassFunction(ABC, {ABC.mask_of(["b", "c"]): 1.0})
+        assert m.interval(ABC.bit("a")).upper == 0.0 == pl_oracle(m, ABC.bit("a"))
 
     def test_unknown_label(self):
         with pytest.raises(ValueError, match="unknown outcome"):
@@ -184,17 +186,17 @@ class TestFunctionals:
 
     def test_plausibility_intersection_sum(self):
         m = abc_mass()
-        assert m.plausibility(ABC.bit("c")) == pytest.approx(0.4, abs=1e-12)
+        assert m.interval(ABC.bit("c")).upper == pytest.approx(0.4, abs=1e-12)
 
     def test_plausibility_axioms_exact(self):
         m = abc_mass()
-        assert m.plausibility(0) == 0.0
-        assert m.plausibility(ABC.full_mask) == 1.0
+        assert m.interval(0).upper == 0.0
+        assert m.interval(ABC.full_mask).upper == 1.0
 
     def test_vacuous_plausibility_one(self):
         m = MassFunction.vacuous(ABC)
         for mask in range(1, ABC.full_mask + 1):
-            assert m.plausibility(mask) == 1.0
+            assert m.interval(mask).upper == 1.0
 
     def test_commonality(self):
         m = abc_mass()
@@ -235,8 +237,8 @@ class TestFunctionals:
 def test_duality(m):
     frame = m.frame
     for mask in range(frame.full_mask + 1):
-        assert m.plausibility(mask) == pytest.approx(
-            1.0 - m.belief(frame.complement(mask)), abs=1e-12
+        assert m.interval(mask).upper == pytest.approx(
+            1.0 - m.belief(frame.full_mask & ~mask), abs=1e-12
         )
 
 
@@ -244,7 +246,7 @@ def test_duality(m):
 @given(mass_functions())
 def test_interval_ordering(m):
     for mask in range(m.frame.full_mask + 1):
-        assert m.belief(mask) <= m.plausibility(mask) + 1e-12
+        assert m.belief(mask) <= pl_oracle(m, mask) + 1e-12
 
 
 @settings(max_examples=150)
@@ -254,7 +256,7 @@ def test_monotonicity(m, data):
     b = data.draw(st.integers(0, full))
     a = b & data.draw(st.integers(0, full))  # a is a subset of b
     assert m.belief(a) <= m.belief(b) + 1e-12
-    assert m.plausibility(a) <= m.plausibility(b) + 1e-12
+    assert m.interval(a).upper <= m.interval(b).upper + 1e-12
 
 
 @settings(max_examples=150)
@@ -262,7 +264,7 @@ def test_monotonicity(m, data):
 def test_transform_consistency_against_dense_oracle(m):
     for mask in range(m.frame.full_mask + 1):
         assert m.belief(mask) == pytest.approx(bel_oracle(m, mask), abs=1e-12)
-        assert m.plausibility(mask) == pytest.approx(pl_oracle(m, mask), abs=1e-12)
+        assert m.interval(mask).upper == pytest.approx(pl_oracle(m, mask), abs=1e-12)
 
 
 @settings(max_examples=100)

@@ -263,6 +263,17 @@ class TestExitCodes:
             "--method", "1", "--out", str(tmp_path / "o.json"),
         ) == 2
 
+    @pytest.mark.parametrize("name", ["", " P1", "P1 ", "#P1", "P\n1"])
+    def test_data_error_parameter_name(self, tmp_path, capsys, name):
+        # names a removal list would not read back as written
+        bad = tmp_path / "bad.csv"
+        bad.write_text(f'case_id,outcome,"{name}",P2\nc1,a,1.0,2.0\n')
+        assert run(
+            "extract", "--cases", str(bad), "--intervals", str(bad),
+            "--method", "1", "--out", str(tmp_path / "o.json"),
+        ) == 2
+        assert f"{bad}: parameter name {name!r} must be" in capsys.readouterr().err
+
     def test_data_error_auto_prune_with_drop_params(self, dataset, tmp_path):
         assert run(
             "pipeline", "--train", str(dataset / "train.csv"), "--test", str(dataset / "test.csv"),

@@ -21,7 +21,7 @@ from evidential.extract import (
 from evidential.pipeline import PipelineConfig
 from evidential.records import CaseRecord, EvidenceItemId, ReferenceIntervals, Region
 
-from helpers import assert_valid_mass, frame_of, frequency_vectors, is_consonant
+from helpers import assert_valid_mass, frame_of, frequency_vectors, is_consonant, method3_reference
 
 ABC = Frame(("a", "b", "c"))
 INTERVALS = ReferenceIntervals({"AALB": (10.0, 20.0)})
@@ -99,7 +99,7 @@ class TestMethod1:
     def test_zero_frequency_outcomes_excluded(self):
         m = method1_consonant(ABC, (0.5, 0.5, 0.0))
         assert dict(m.items()) == {0b011: pytest.approx(1.0)}
-        assert m.plausibility(0b100) == 0.0
+        assert m.interval(0b100).upper == 0.0
 
     def test_all_zero_rejected(self):
         with pytest.raises(ValueError, match="no positive"):
@@ -122,7 +122,7 @@ def test_method1_properties(nf):
     assert is_consonant(m)
     top = max(freq)
     for i, f in enumerate(freq):
-        assert m.plausibility(1 << i) == pytest.approx(f / top, abs=1e-12)
+        assert m.interval(1 << i).upper == pytest.approx(f / top, abs=1e-12)
 
 
 class TestMethod2:
@@ -268,6 +268,38 @@ def test_method3_always_valid(nf, variant):
     n, freq = nf
     m = method3(frame_of(n), freq, variant)
     assert_valid_mass(m)
+
+
+def _items_or_error(build):
+    try:
+        m = build()
+    except Exception as exc:
+        return type(exc), str(exc)
+    return [(mask, repr(value)) for mask, value in m.items()]
+
+
+@st.composite
+def _shares(draw):
+    """1-10 outcomes with small counts, so zero and tied shares are common;
+    as raw counts or as proportions, and all zero now and then."""
+    n = draw(st.integers(1, 10))
+    counts = draw(st.lists(st.integers(0, 4), min_size=n, max_size=n))
+    total = sum(counts)
+    if total and draw(st.booleans()):
+        return n, [c / total for c in counts]
+    return n, counts
+
+
+@settings(max_examples=300)
+@given(_shares(), st.sampled_from(M3_VARIANTS))
+def test_method3_matches_loop_reference(nf, variant):
+    """Same foci in the same order, the same repr of every mass, and the same
+    error, as the loop over every subset index that it replaced."""
+    n, freq = nf
+    frame = frame_of(n)
+    assert _items_or_error(lambda: method3(frame, freq, variant)) == _items_or_error(
+        lambda: method3_reference(frame, freq, variant)
+    )
 
 
 @settings(max_examples=150)

@@ -100,6 +100,11 @@ class TestCases:
         with pytest.warns(UserWarning, match="duplicate case_id"):
             cases = formats.parse_cases(path)
         assert [c.case_id for c in cases] == ["c1", "c1#2"]
+        # a repeat takes the first suffix no earlier row was given
+        path.write_text("case_id,outcome,AALB\nx,6,1.0\nx#2,7,2.0\nx,6,3.0\n")
+        with pytest.warns(UserWarning, match="keeping as x#3"):
+            cases = formats.parse_cases(path)
+        assert [c.case_id for c in cases] == ["x", "x#2", "x#3"]
 
     def test_round_trip(self, tmp_path):
         cases = [
