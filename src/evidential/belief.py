@@ -119,12 +119,24 @@ class BeliefInterval(NamedTuple):
     upper: float
 
 
+_new_interval = tuple.__new__
+# The interval of every outcome that lies in no focus: Bel = Pl = 0 exactly.
+_NO_SUPPORT = BeliefInterval(0.0, 0.0)
+
+
 def clip_interval(lower: float, upper: float) -> BeliefInterval:
     """The interval between two computed bounds, with numeric spill clipped so
     that 0 <= lower <= upper <= 1 holds exactly: lower into [0, 1], then upper
-    into [lower, 1]. A NaN bound passes through unchanged."""
-    lower = min(max(lower, 0.0), 1.0)
-    return BeliefInterval(lower, min(max(upper, lower), 1.0))
+    into [lower, 1]. A NaN bound passes through unchanged.
+
+    Each comparison keeps its left operand unless the right one is strictly
+    beyond it, as min and max do, so NaN and -0.0 come out as they would from
+    min(max(lower, 0.0), 1.0) and min(max(upper, lower), 1.0). The pair is
+    built by tuple.__new__, skipping the NamedTuple's Python-level __new__.
+    """
+    lower = 0.0 if lower < 0.0 else 1.0 if lower > 1.0 else lower
+    upper = lower if lower > upper else upper
+    return _new_interval(BeliefInterval, (lower, 1.0 if upper > 1.0 else upper))
 
 
 class MassFunction:
@@ -138,14 +150,18 @@ class MassFunction:
 
     Derived values are cached on the instance on first use: the core (the
     union of the focal sets, as a mask), the commonality vector, the
-    singleton belief intervals, the observed focus with its labels and mass,
-    and (filled by combine.combine_all's sparse fold) the result of
-    combining this instance, as the left operand, with each right operand it
-    has met. Each cache entry depends only on the instance and its operand,
-    so a thread that races another on a first use stores an equal value.
+    singleton plausibilities (a combination result gets them from the
+    combination instead), the singleton belief intervals, the observed focus
+    with its labels and mass, and (filled by combine.combine_all's sparse
+    fold) the result of combining this instance, as the left operand, with
+    each right operand it has met. Each cache entry depends only on the
+    instance and its operand, so a thread that races another on a first use
+    stores an equal value.
     """
 
-    __slots__ = ("frame", "_focal", "_core", "_q", "_intervals", "_observed", "_combinations")
+    __slots__ = (
+        "frame", "_focal", "_core", "_q", "_pl", "_intervals", "_observed", "_combinations"
+    )
 
     def __init__(self, frame: Frame, masses: Mapping[Mask, float]):
         focal: dict[Mask, float] = {}
@@ -167,23 +183,30 @@ class MassFunction:
         self._adopt(frame, focal)
 
     @classmethod
-    def _normalised(cls, frame: Frame, masses: dict[Mask, float]) -> "MassFunction":
+    def _normalised(
+        cls, frame: Frame, masses: dict[Mask, float], plausibilities: tuple[float, ...]
+    ) -> "MassFunction":
         """Trusted constructor for masses that are normalised by construction.
 
         masses maps int masks on frame to positive floats, none on the empty
         set, with an fsum within 1e-12 of 1: what __init__ would keep
-        verbatim. Nothing is checked, and the dict is adopted, not copied, so
-        the caller must not keep it.
+        verbatim. plausibilities holds Pl({x}) for each outcome in frame
+        order, exactly 0.0 for an outcome that lies in no focus, and becomes
+        the instance's singleton_plausibilities(). Nothing is checked, and
+        the dict is adopted, not copied, so the caller must not keep it.
         """
         self = cls.__new__(cls)
-        self._adopt(frame, masses)
+        self._adopt(frame, masses, plausibilities)
         return self
 
-    def _adopt(self, frame: Frame, focal: dict[Mask, float]) -> None:
+    def _adopt(
+        self, frame: Frame, focal: dict[Mask, float], pl: tuple[float, ...] | None = None
+    ) -> None:
         self.frame = frame
         self._focal = focal
         self._core: Mask | None = None
         self._q: np.ndarray | None = None
+        self._pl = pl
         self._intervals: tuple[BeliefInterval, ...] | None = None
         self._observed: tuple[Mask, tuple[str, ...], float] | None = None
         # id(right) -> (right, CombinationResult); see combine.combine_all
@@ -242,9 +265,9 @@ class MassFunction:
     def core(self) -> Mask:
         """Union of the focal sets, as a mask (cached).
 
-        Every outcome outside the core has Bel({x}) = 0 and the same
-        Pl({x}), and every focal set of a combination lies inside the
-        intersection of its operands' cores.
+        Every outcome outside the core has Bel({x}) = Pl({x}) = 0, and every
+        focal set of a combination lies inside the intersection of its
+        operands' cores.
         """
         core = self._core
         if core is None:
@@ -254,39 +277,48 @@ class MassFunction:
             self._core = core
         return core
 
+    def singleton_plausibilities(self) -> tuple[float, ...]:
+        """Pl({x}) of every singleton, in frame order (cached).
+
+        Pl({x}) is the commonality Q({x}): the mass of the foci that contain
+        x. A constructed instance fills the tuple on first use with the
+        correctly rounded fsum of those masses. A combination result is
+        handed its tuple by the combination (see combine._renormalised):
+        commonalities multiply under Dempster's rule, so the result's Pl is
+        the product of its operands' Pl divided by the surviving mass, within
+        2 * k * eps of the exact fold of k operands. Either way an outcome
+        that lies in no focus reads exactly 0.0.
+        """
+        pl = self._pl
+        if pl is None:
+            containing: list[list[float]] = [[] for _ in range(self.frame.n)]
+            for mask, value in self._focal.items():
+                while mask:
+                    low = mask & -mask
+                    containing[low.bit_length() - 1].append(value)
+                    mask ^= low
+            pl = self._pl = tuple(map(math.fsum, containing))
+        return pl
+
     def singleton_intervals(self) -> tuple[BeliefInterval, ...]:
         """Belief interval of every singleton, in frame order (cached).
 
-        One pass over the foci: Bel({x}) is m({x}) and Pl({x}) is 1 minus the
-        fsum of the masses of foci without x. Only outcomes of the core are
-        walked; every outcome outside it lies in no focus, so it shares the
-        interval [0, 1 - fsum of all masses]. fsum is correctly rounded, so
-        the tuple equals interval(bit) for each singleton bit exactly,
-        including the one-outcome frame, where Bel of the whole frame is 1.
+        [Bel({x}), Pl({x})] is [m({x}), singleton_plausibilities()[x]],
+        through clip_interval; on a one-outcome frame Bel of the whole frame
+        is 1. No focus is walked. An outcome whose Pl is 0.0, which is every
+        outcome outside the core, gets the one shared interval (0.0, 0.0):
+        exact, since no focus contains it. For a constructed instance Pl is
+        the correctly rounded sum of its masses; for a combination result of
+        k operands each bound is within 2 * k * eps of the exact fold.
         """
         intervals = self._intervals
         if intervals is None:
             n = self.frame.n
-            core = self.core()
-            without: list[list[float]] = [[] for _ in range(n)]
-            for mask, value in self._focal.items():
-                rest = core & ~mask
-                while rest:
-                    low = rest & -rest
-                    without[low.bit_length() - 1].append(value)
-                    rest ^= low
-            outside = None
-            if core != self.frame.full_mask:
-                outside = clip_interval(0.0, 1.0 - math.fsum(self._focal.values()))
-            intervals = tuple(
-                clip_interval(
-                    1.0 if n == 1 else self._focal.get(1 << i, 0.0),
-                    1.0 - math.fsum(without[i]),
-                )
-                if core >> i & 1 else outside
-                for i in range(n)
-            )
-            self._intervals = intervals
+            focal = self._focal
+            intervals = self._intervals = tuple([
+                clip_interval(1.0 if n == 1 else focal.get(1 << i, 0.0), pl) if pl else _NO_SUPPORT
+                for i, pl in enumerate(self.singleton_plausibilities())
+            ])
         return intervals
 
     def observed(self) -> tuple[Mask, tuple[str, ...], float]:

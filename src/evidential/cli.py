@@ -209,9 +209,9 @@ def cmd_prune(args) -> int:
 
 def cmd_diagnose(args) -> int:
     bpa = formats.read_bpa_set(args.bpa)
-    cases = formats.parse_cases(args.case)
+    params, cases = formats.parse_case_table(args.case)
     intervals = formats.parse_intervals(args.intervals)
-    drop = formats.read_drop_params(args.drop_params) if args.drop_params else frozenset()
+    drop = formats.read_drop_params(args.drop_params, params) if args.drop_params else frozenset()
     diagnosed = 0
     failures = []
     for case in cases:
@@ -240,9 +240,9 @@ def cmd_diagnose(args) -> int:
 
 def cmd_evaluate(args) -> int:
     bpa = formats.read_bpa_set(args.bpa)
-    cases = formats.parse_cases(args.test)
+    params, cases = formats.parse_case_table(args.test)
     intervals = formats.parse_intervals(args.intervals)
-    drop = formats.read_drop_params(args.drop_params) if args.drop_params else frozenset()
+    drop = formats.read_drop_params(args.drop_params, params) if args.drop_params else frozenset()
     report = evaluate(cases, bpa, intervals, drop, args.out)
     print(formats.format_report_table([report]))
     return EXIT_OK

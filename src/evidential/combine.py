@@ -23,6 +23,14 @@ threshold to its running product prod(1 - k_step), so a fold whose steps
 each keep a little, but whose product keeps less, is total conflict on both
 paths, as it is for the dense path's aggregate.
 
+Commonalities multiply under Dempster's rule, so each combination also hands
+its result the singleton plausibilities Pl({x}) = Q({x}) at O(n) cost: the
+unnormalised Q({x}) (Pl1(x) * Pl2(x) on the sparse path, the commonality
+product at the core's singletons on the dense path, 0.0 outside the common
+core), divided by the same surviving mass as the masses. A result's singleton
+intervals then read m({x}) and Pl({x}) without walking its foci; against the
+exact rational fold of k operands each bound is within 2 * k * eps.
+
 dempster_combine is a pure function. combine_all's sparse fold memoizes each
 step on its left operand; a fold's operands come from one finite BPA set, so
 cases that share a prefix of matched evidence share the cached results of
@@ -33,8 +41,9 @@ functions live. The dense path keeps no such cache.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -62,19 +71,26 @@ def _shared_frame(ms: Sequence[MassFunction]) -> Frame:
     return frame
 
 
-def _renormalised(frame: Frame, raw: dict[Mask, float], conflict: float) -> CombinationResult:
+def _renormalised(
+    frame: Frame, raw: dict[Mask, float], conflict: float, commonalities: Iterable[float]
+) -> CombinationResult:
     """Apply the total-conflict rule and rescale the unnormalised masses raw.
 
     Divides by the fsum of raw, the surviving mass this combination actually
     recovered, and raises TotalConflictError when 1 - conflict or that sum is
     at most _MIN_SURVIVING_MASS. The quotients, less any that underflow to 0,
     sum to 1 by construction, so the result skips the validating constructor.
+    commonalities holds the unnormalised Q({x}) of each outcome in frame
+    order, exactly 0.0 outside the common core; divided by the same surviving
+    mass, it becomes the result's singleton plausibilities.
     """
     surviving = math.fsum(raw.values())
     if min(1.0 - conflict, surviving) <= _MIN_SURVIVING_MASS:
         raise TotalConflictError("all product mass fell on the empty set", conflict=conflict)
     combined = MassFunction._normalised(
-        frame, {mask: q for mask, value in raw.items() if (q := value / surviving)}
+        frame,
+        {mask: q for mask, value in raw.items() if (q := value / surviving)},
+        tuple([q / surviving for q in commonalities]),
     )
     return CombinationResult(combined, conflict)
 
@@ -86,16 +102,22 @@ def dempster_combine(m1: MassFunction, m2: MassFunction) -> CombinationResult:
     empty; each surviving mass is divided by the fsum of all surviving
     products. Raises TotalConflictError when 1 - k or that sum is at most
     1e-12 (the module's one total-conflict rule). Neither operand is
-    changed.
+    changed. The result's Pl({x}) is Pl1(x) * Pl2(x) over the same sum.
+
+    fsum is correctly rounded, so neither the order of the products in a
+    bucket nor skipping it for a bucket of one product changes a bit.
     """
     frame = _shared_frame((m1, m2))
     buckets: dict[Mask, list[float]] = {}
-    for a, va in m1.items():
-        for b, vb in m2.items():
+    for b, vb in m2.items():
+        for a, va in m1.items():
             buckets.setdefault(a & b, []).append(va * vb)
     conflict = math.fsum(buckets.pop(0, ()))
     return _renormalised(
-        frame, {mask: math.fsum(vals) for mask, vals in buckets.items()}, conflict
+        frame,
+        {mask: vals[0] if len(vals) == 1 else math.fsum(vals) for mask, vals in buckets.items()},
+        conflict,
+        map(operator.mul, m1.singleton_plausibilities(), m2.singleton_plausibilities()),
     )
 
 
@@ -211,13 +233,18 @@ def fast_combine_via_commonality(ms: Sequence[MassFunction]) -> CombinationResul
     product = np.ones(1 << c)
     for q in commonalities:
         product *= q if masks is None else q[masks]
+    # Q({x}) of the unnormalised combination, read before the inversion
+    # overwrites it: entry 1 << k is the singleton of core_bits[k]
+    pl = [0.0] * frame.n
+    for k, bit in enumerate(core_bits):
+        pl[bit.bit_length() - 1] = product.item(1 << k)
     if c:
         lattice.superset_diff(product, c)
     conflict = max(float(product[0]), 0.0)  # inversion round-off can dip below 0
     floor = _DENSE_NOISE_FLOOR * (1.0 - conflict)
     kept = np.flatnonzero(product[1:] > floor) + 1  # index 0 is the empty set
     keys = kept if masks is None else masks[kept]
-    return _renormalised(frame, dict(zip(keys.tolist(), product[kept].tolist())), conflict)
+    return _renormalised(frame, dict(zip(keys.tolist(), product[kept].tolist())), conflict, pl)
 
 
 def _core_subsets(core_bits: list[int]) -> np.ndarray:

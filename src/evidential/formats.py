@@ -464,10 +464,19 @@ def write_removal_list(params: Iterable[str], path) -> None:
     Path(path).write_text("".join(f"{param}\n" for param in sorted(params)))
 
 
-def read_drop_params(path) -> frozenset[str]:
+def read_drop_params(path, columns: Iterable[str] | None = None) -> frozenset[str]:
+    """A removal list: one parameter per line, blank lines and lines starting
+    with # skipped. columns, when given, are the parameter columns of the
+    case table the list is applied to; a listed name outside them drops
+    nothing, so one warning names every such parameter."""
     params = set()
     for line in Path(path).read_text().splitlines():
         line = line.strip()
         if line and not line.startswith("#"):
             params.add(line)
+    if columns is not None:
+        unknown = sorted(params.difference(columns))
+        if unknown:
+            warnings.warn(f"{path}: no such parameter in the case table, nothing dropped for "
+                          f"{', '.join(map(repr, unknown))}")
     return frozenset(params)

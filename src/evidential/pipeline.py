@@ -135,7 +135,7 @@ def run_pipeline(
 
     with _stage("parse"):
         train_params, train_cases = formats.parse_case_table(train_path)
-        _, test_cases = formats.parse_case_table(test_path)
+        test_params, test_cases = formats.parse_case_table(test_path)
         intervals = formats.parse_intervals(intervals_path)
         expert = None if expert_path is None else formats.read_bpa_set(expert_path)
 
@@ -153,7 +153,7 @@ def run_pipeline(
     drop: frozenset[str] = frozenset()
     if config.drop_params:
         with _stage("drop"):
-            drop = formats.read_drop_params(config.drop_params)
+            drop = formats.read_drop_params(config.drop_params, test_params)
             formats.write_removal_list(drop, out / "dropped_params.txt")
     elif config.auto_prune:
         with _stage("prune"):

@@ -4,6 +4,7 @@ import math
 import operator
 import sys
 import threading
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -24,6 +25,8 @@ from evidential.errors import (
 from helpers import (
     assert_valid_mass,
     bel_oracle,
+    exact_combine,
+    exact_singleton_intervals,
     frame_of,
     mass_functions,
     pl_oracle,
@@ -155,18 +158,33 @@ def _unnormalised_masses(draw):
 @settings(max_examples=200)
 @given(_unnormalised_masses())
 def test_trusted_constructor_equals_validating_one(case):
+    """_renormalised keeps what the validating constructor keeps, and its
+    result's Pl is the commonalities it is handed, over the same surviving
+    mass: within 2 * eps of the exact Pl, which Bel shares bit for bit."""
     frame, raw = case
     surviving = math.fsum(raw.values())
+    commonalities = [
+        math.fsum(value for mask, value in raw.items() if mask >> i & 1) for i in range(frame.n)
+    ]
     if surviving <= 1e-12:  # no mass, or only subnormal mass: total conflict
         with pytest.raises(TotalConflictError):
-            combine._renormalised(frame, raw, 0.0)
+            combine._renormalised(frame, raw, 0.0, commonalities)
         return
-    trusted = combine._renormalised(frame, raw, 0.0).combined
+    trusted = combine._renormalised(frame, raw, 0.0, commonalities).combined
     validated = MassFunction(frame, {mask: value / surviving for mask, value in raw.items()})
     assert trusted == validated
     assert list(trusted.items()) == list(validated.items())
     assert np.array_equal(trusted.commonality_vector(), validated.commonality_vector())
-    assert trusted.singleton_intervals() == validated.singleton_intervals()
+    assert trusted.singleton_plausibilities() == tuple(q / surviving for q in commonalities)
+    exact_total = sum(map(Fraction, raw.values()))
+    exact = exact_singleton_intervals(
+        {mask: Fraction(value) / exact_total for mask, value in raw.items() if mask}, frame.n
+    )
+    for got, same, (_, pl) in zip(
+        trusted.singleton_intervals(), validated.singleton_intervals(), exact
+    ):
+        assert got.lower == same.lower
+        assert abs(Fraction(got.upper) - pl) <= 2 * Fraction(EPS)
 
 
 class TestFunctionals:
@@ -230,6 +248,21 @@ class TestFunctionals:
     def test_interval_clips_float_spill(self):
         interval = clip_interval(0.5, 0.5 - 1e-12)
         assert interval.lower <= interval.upper
+
+
+_EDGE_FLOATS = st.sampled_from(
+    [math.nan, 0.0, -0.0, 1.0, -1e-17, 1.0 + 2.0**-52, 5e-324, -math.inf, math.inf]
+)
+
+
+@settings(max_examples=500)
+@given(st.one_of(st.floats(), _EDGE_FLOATS), st.one_of(st.floats(), _EDGE_FLOATS))
+def test_clip_interval_matches_min_max_formula(lower, upper):
+    clipped = min(max(lower, 0.0), 1.0)
+    expected = BeliefInterval(clipped, min(max(upper, clipped), 1.0))
+    got = clip_interval(lower, upper)
+    assert type(got) is BeliefInterval
+    assert repr(got) == repr(expected)
 
 
 @settings(max_examples=200)
@@ -315,12 +348,36 @@ def test_commonality_vector_filled_once_under_thread_races():
             assert np.array_equal(q, expected)
 
 
+EPS = 2.0**-52
+
+
+def assert_intervals_near_exact(m, ms):
+    """m's singleton intervals are within 2 * k * eps of the exact fold of
+    the k operands ms, and its Bel is the whole-frame walk's bit for bit."""
+    exact, _ = exact_combine(ms)
+    bound = 2 * len(ms) * Fraction(EPS)
+    intervals = m.singleton_intervals()
+    for got, (bel, pl) in zip(intervals, exact_singleton_intervals(exact, m.frame.n)):
+        assert abs(Fraction(got.lower) - bel) <= bound
+        assert abs(Fraction(got.upper) - pl) <= bound
+    assert [i.lower for i in intervals] == [i.lower for i in singleton_intervals_reference(m)]
+
+
 @settings(max_examples=200)
 @given(mass_functions(min_n=1, max_n=8, max_foci=12))
-def test_singleton_intervals_equal_per_bit_intervals(m):
-    expected = tuple(m.interval(1 << i) for i in range(m.frame.n))
-    assert m.singleton_intervals() == expected
+def test_singleton_intervals_near_exact(m):
+    assert_intervals_near_exact(m, [m])
     assert m.singleton_intervals() is m.singleton_intervals()
+
+
+@settings(max_examples=200)
+@given(mass_functions(min_n=1, max_n=8, max_foci=12))
+def test_plausibility_is_fsum_of_containing_foci(m):
+    assert m.singleton_plausibilities() == tuple(
+        math.fsum(value for mask, value in m.items() if mask >> i & 1)
+        for i in range(m.frame.n)
+    )
+    assert m.singleton_plausibilities() is m.singleton_plausibilities()
 
 
 @st.composite
@@ -344,17 +401,17 @@ def _results_in_a_core(draw):
 
     ms = [operand() for _ in range(draw(st.integers(1, 3)))]
     try:
-        return combine_all(ms, path=draw(st.sampled_from(["auto", "sparse", "commonality"])))
+        path = draw(st.sampled_from(["auto", "sparse", "commonality"]))
+        return combine_all(ms, path=path).combined, ms
     except TotalConflictError:
-        return ms[0]
+        return ms[0], ms[:1]
 
 
 @settings(max_examples=300, deadline=None)
 @given(_results_in_a_core())
-def test_singleton_intervals_equal_whole_frame_walk(result):
-    m = result if isinstance(result, MassFunction) else result.combined
-    got = [tuple(map(repr, interval)) for interval in m.singleton_intervals()]
-    assert got == [tuple(map(repr, interval)) for interval in singleton_intervals_reference(m)]
+def test_result_intervals_in_a_core_near_exact(case):
+    m, ms = case
+    assert_intervals_near_exact(m, ms)
 
 
 @settings(max_examples=200)
@@ -371,7 +428,8 @@ def test_core_computed_once():
             CountingDict.iterations += 1
             return super().__iter__()
 
-    for m in (abc_mass(), MassFunction._normalised(ABC, {0b001: 0.25, 0b011: 0.75})):
+    trusted = MassFunction._normalised(ABC, {0b001: 0.25, 0b011: 0.75}, (1.0, 0.75, 0.0))
+    for m in (abc_mass(), trusted):
         core = functools.reduce(operator.or_, (mask for mask, _ in m.items()))
         m._focal = CountingDict(m._focal)
         CountingDict.iterations = 0

@@ -1,4 +1,5 @@
 import json
+import warnings
 from dataclasses import fields, replace
 
 import pytest
@@ -102,6 +103,35 @@ class TestExtractEvaluate:
         assert code == 0
         assert "plausibility" in out
         assert "g01" in out
+
+
+class TestDropParams:
+    @pytest.mark.parametrize("command", ["evaluate", "diagnose", "pipeline"])
+    def test_unknown_names_warned_once(self, dataset, tmp_path, capsys, command):
+        test, intervals = str(dataset / "test.csv"), str(dataset / "intervals.csv")
+        if command == "pipeline":
+            argv = ["pipeline", "--train", str(dataset / "train.csv"), "--test", test,
+                    "--out-dir", str(tmp_path / "out")]
+        else:
+            bpa = str(tmp_path / "bpa.json")
+            assert run("extract", "--cases", str(dataset / "train.csv"), "--intervals", intervals,
+                       "--method", "2b", "--out", bpa) == 0
+            argv = ["evaluate", "--bpa", bpa, "--test", test, "--out", str(tmp_path / "r.json")]
+            if command == "diagnose":
+                argv = ["diagnose", "--bpa", bpa, "--case", test]
+        drop = tmp_path / "drop.txt"
+        drop.write_text("# removal list\nP01\nNOPE\nALSO_NOPE\nNOPE\n")
+        with pytest.warns(UserWarning) as record:
+            code = run(*argv, "--intervals", intervals, "--drop-params", str(drop))
+        assert code == 0
+        assert [str(w.message) for w in record if "no such parameter" in str(w.message)] == [
+            f"{drop}: no such parameter in the case table, nothing dropped for 'ALSO_NOPE', 'NOPE'"
+        ]
+        drop.write_text("P01\nP02\n")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert run(*argv, "--intervals", intervals, "--drop-params", str(drop)) == 0
+        capsys.readouterr()
 
 
 class TestModify:

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from evidential.belief import Frame, MassFunction
+from evidential.belief import BeliefInterval, Frame, MassFunction
 from evidential.combine import (
     CombinationResult,
     combine_all,
@@ -25,6 +25,7 @@ from evidential import combine, lattice
 from helpers import (
     combine_oracle,
     exact_combine,
+    exact_lattice_combine,
     exact_singleton_intervals,
     frame_of,
     full_lattice_combine,
@@ -377,16 +378,24 @@ class TestCommonCore:
                 old = functools.reduce(operator.or_, singletons[positive].tolist(), 0)
                 assert functools.reduce(operator.and_, (m.core() for m in ms)) == old
 
-    def test_result_intervals_match_whole_frame_walk(self):
+    def test_result_intervals_near_exact_fold(self):
+        """Within 2 * k * eps of the exact fold, with Bel the whole-frame
+        walk's bit for bit; foci of up to 4096 subsets, hence the lattice
+        oracle."""
         smaller = 0
         for ms in _core_operand_lists(seed=14, per_n=40):
             try:
                 m = fast_combine_via_commonality(ms).combined
             except TotalConflictError:
                 continue
-            got = [tuple(map(repr, interval)) for interval in m.singleton_intervals()]
-            expected = singleton_intervals_reference(m)
-            assert got == [tuple(map(repr, interval)) for interval in expected]
+            exact, _ = exact_lattice_combine(ms)
+            bound = Fraction(2 * len(ms) * EPS)
+            intervals = m.singleton_intervals()
+            for got, (bel, pl) in zip(intervals, exact_singleton_intervals(exact, m.frame.n)):
+                assert abs(Fraction(got.lower) - bel) <= bound, ms
+                assert abs(Fraction(got.upper) - pl) <= bound, ms
+            walked = singleton_intervals_reference(m)
+            assert [i.lower for i in intervals] == [i.lower for i in walked]
             smaller += m.core() != m.frame.full_mask
         assert smaller >= 20
 
@@ -514,6 +523,79 @@ def test_paths_near_exact_fold(ms, path):
 def test_heavy_conflict_folds_near_exact_fold(path):
     for ms in heavy_conflict_folds(seed=31, count=400):
         assert_near_exact(ms, path)
+
+
+@pytest.mark.parametrize("path", PATHS)
+def test_twelve_operand_folds_near_exact_fold(path):
+    """Long folds: the Pl each step hands on compounds one rounding per step."""
+    rng = np.random.default_rng(37)
+    for ms in heavy_conflict_folds(seed=41, count=60):
+        frame = ms[0].frame
+        assert_near_exact([random_mass(frame, rng) for _ in range(12)], path)
+        assert_near_exact((ms * 12)[:12], path)
+
+
+def test_exact_lattice_oracle_equals_exact_fold():
+    rng = np.random.default_rng(43)
+    lists = [*heavy_conflict_folds(seed=47, count=100)]
+    for _ in range(100):
+        frame = frame_of(int(rng.integers(1, 7)))
+        lists.append([random_mass(frame, rng) for _ in range(int(rng.integers(1, 5)))])
+    for ms in lists:
+        assert exact_lattice_combine(ms) == exact_combine(ms)
+
+
+@pytest.mark.parametrize("path", PATHS)
+def test_outcomes_outside_the_core_read_zero(path):
+    frame = frame_of(5)
+    m1 = MassFunction(frame, {0b00011: 0.5, 0b00111: 0.5})
+    m2 = MassFunction(frame, {0b00001: 0.25, 0b10011: 0.75})
+    combined = combine_all([m1, m2], path=path).combined
+    assert combined.core() == 0b00011
+    intervals = combined.singleton_intervals()
+    for i in (2, 3, 4):
+        assert combined.singleton_plausibilities()[i] == 0.0
+        assert repr(intervals[i]) == repr(BeliefInterval(0.0, 0.0))
+    assert all(interval.upper > 0.0 for interval in intervals[:2])
+
+
+class _FociSpy(dict):
+    """A focal dict that counts every walk over its keys, values or items."""
+
+    walks = 0
+
+    def __iter__(self):
+        _FociSpy.walks += 1
+        return super().__iter__()
+
+    def keys(self):
+        _FociSpy.walks += 1
+        return super().keys()
+
+    def values(self):
+        _FociSpy.walks += 1
+        return super().values()
+
+    def items(self):
+        _FociSpy.walks += 1
+        return super().items()
+
+
+@pytest.mark.parametrize("path", PATHS)
+def test_result_intervals_never_walk_the_foci(path):
+    rng = np.random.default_rng(53)
+    for _ in range(50):
+        frame = frame_of(int(rng.integers(1, 9)))
+        ms = [random_mass(frame, rng) for _ in range(int(rng.integers(2, 5)))]
+        try:
+            combined = combine_all(ms, path=path).combined
+        except TotalConflictError:
+            continue
+        combined._focal = _FociSpy(combined._focal)
+        _FociSpy.walks = 0
+        intervals = combined.singleton_intervals()
+        assert _FociSpy.walks == 0
+        assert len(intervals) == frame.n
 
 
 def test_support_reinforcement():
