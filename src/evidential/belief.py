@@ -152,11 +152,11 @@ class MassFunction:
     union of the focal sets, as a mask), the commonality vector, the
     singleton plausibilities (a combination result gets them from the
     combination instead), the singleton belief intervals, the observed focus
-    with its labels and mass, and (filled by combine.combine_all's sparse
-    fold) the result of combining this instance, as the left operand, with
-    each right operand it has met. Each cache entry depends only on the
-    instance and its operand, so a thread that races another on a first use
-    stores an equal value.
+    with its labels and mass, and combine.combine_all's sparse fold memo:
+    the fold step of this instance, as the left operand, with each right
+    operand it has met, and each whole fold that began with this instance.
+    A thread that races another on a first use stores an equal value; the
+    fold memo is made under a lock, so racing folds share one.
     """
 
     __slots__ = (
@@ -209,8 +209,24 @@ class MassFunction:
         self._pl = pl
         self._intervals: tuple[BeliefInterval, ...] | None = None
         self._observed: tuple[Mask, tuple[str, ...], float] | None = None
-        # id(right) -> (right, CombinationResult); see combine.combine_all
+        # id(right) -> (right, prefix result, 1 - k_step) for each fold step
+        # from here, and (path, *ids) -> result for each whole fold begun
+        # here; see combine.combine_all
         self._combinations: dict | None = None
+
+    def on_frame(self, frame: Frame) -> "MassFunction":
+        """This mass function on frame, a Frame equal to its own.
+
+        self when frame is its own object; otherwise a new instance with the
+        same masses, so that a combination with frame's other mass functions
+        finds one frame object instead of comparing labels. Raises
+        FrameMismatchError when frame differs.
+        """
+        if frame is self.frame:
+            return self
+        if frame != self.frame:
+            raise FrameMismatchError("mass function lives on a different frame")
+        return self._normalised(frame, dict(self._focal), self.singleton_plausibilities())
 
     @classmethod
     def vacuous(cls, frame: Frame) -> "MassFunction":

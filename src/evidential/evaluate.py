@@ -66,9 +66,11 @@ def diagnose_case(
     tagged with the case id.
 
     Entries are read from the set's evidence index (BpaSet._index), which has
-    decided each entry's vacuity once. The combined mass function caches its
-    observed focus and singleton intervals, so a case whose evidence an
-    earlier case already combined reuses both.
+    decided each entry's vacuity once. combine_all keeps each whole sparse
+    fold on its first operand, so a case whose informative evidence an
+    earlier case already combined gets that combination back for one dict
+    lookup; the combined mass function caches its observed focus and
+    singleton intervals, so the case reuses both too.
     """
     dropped = frozenset(drop_params)
     index = bpa._index

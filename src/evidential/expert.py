@@ -2,7 +2,9 @@
 
 An expert entry of full ignorance (all mass on the whole frame) encodes "no
 opinion" and never overwrites anything on its own. Two overwrite policies
-exist: per evidence item (part) and per whole parameter (all).
+exist: per evidence item (part) and per whole parameter (all). Each expert
+entry a policy adopts is rebuilt on the generated set's Frame object, so the
+modified set's entries all share one frame.
 """
 
 from __future__ import annotations
@@ -24,7 +26,8 @@ def part_modify(generated: BpaSet, expert: BpaSet) -> BpaSet:
     entries = {}
     for item, m in generated.entries.items():
         stated = expert.entries.get(item)
-        entries[item] = stated if stated is not None and not is_vacuous(stated) else m
+        adopt = stated is not None and not is_vacuous(stated)
+        entries[item] = stated.on_frame(generated.frame) if adopt else m
     return BpaSet(
         generated.frame, entries, method=_tag(generated.method, "part"), variant=generated.variant
     )
@@ -47,12 +50,15 @@ def all_modify(generated: BpaSet, expert: BpaSet) -> BpaSet:
     for item, m in generated.entries.items():
         if item.parameter in opined:
             stated = expert.entries.get(item)
-            entries[item] = stated if stated is not None else MassFunction.vacuous(generated.frame)
+            entries[item] = (
+                stated.on_frame(generated.frame) if stated is not None
+                else MassFunction.vacuous(generated.frame)
+            )
         else:
             entries[item] = m
     for item, m in expert.entries.items():
         if item.parameter in opined and item not in entries:
-            entries[item] = m
+            entries[item] = m.on_frame(generated.frame)
     return BpaSet(
         generated.frame, entries, method=_tag(generated.method, "all"), variant=generated.variant
     )

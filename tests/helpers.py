@@ -16,7 +16,12 @@ from hypothesis import strategies as st
 
 from evidential import lattice
 from evidential.belief import BeliefInterval, Frame, MassFunction, clip_interval, is_vacuous
-from evidential.combine import CombinationResult, combine_all
+from evidential.combine import (
+    CombinationResult,
+    combine_all,
+    dempster_combine,
+    fast_combine_via_commonality,
+)
 from evidential.errors import NoEvidenceError, TotalConflictError
 from evidential.evaluate import DiagnosisResult, observed_set
 from evidential.extract import (
@@ -202,6 +207,35 @@ def full_lattice_combine(ms: list[MassFunction]) -> CombinationResult:
         raise TotalConflictError("all product mass fell on the empty set", conflict=conflict)
     combined = MassFunction(ms[0].frame, {mask: value / surviving for mask, value in raw.items()})
     return CombinationResult(combined, conflict)
+
+
+def fold_reference(ms: list[MassFunction], path: str = "auto") -> CombinationResult:
+    """combine_all without its memo: the left-to-right fold of pure
+    dempster_combine steps, multiplying the running product of 1 - k_step in
+    the same order, or the commonality product where path asks for it, or
+    where "auto" finds the product of focal counts above n * 2^n. Raises
+    TotalConflictError, with the step, where combine_all does."""
+    frame = ms[0].frame
+    if path == "auto":
+        dense = (frame.n <= lattice.DENSE_MAX_OUTCOMES
+                 and math.prod(len(m) for m in ms) > frame.n << frame.n)
+        path = "commonality" if dense else "sparse"
+    if path == "commonality":
+        return fast_combine_via_commonality(ms)
+    acc, kept = ms[0], 1.0
+    for step, m in enumerate(ms[1:], start=1):
+        try:
+            result = dempster_combine(acc, m)
+        except TotalConflictError:
+            kept = 0.0
+        else:
+            acc = result.combined
+            kept *= 1.0 - result.conflict
+        if kept <= 1e-12:
+            raise TotalConflictError(
+                f"total conflict while folding operand {step}", conflict=1.0 - kept, step=step
+            )
+    return CombinationResult(acc, 1.0 - kept)
 
 
 def method3_reference(frame: Frame, freq, variant: str = M3_DEFAULT_VARIANT) -> MassFunction:

@@ -27,6 +27,7 @@ from helpers import (
     exact_combine,
     exact_lattice_combine,
     exact_singleton_intervals,
+    fold_reference,
     frame_of,
     full_lattice_combine,
     heavy_conflict_folds,
@@ -80,33 +81,214 @@ class TestDempsterCombine:
         assert dempster_combine(m1, m2) == direct
         assert dempster_combine(m1, m2).combined is not direct.combined
         assert m1._combinations is None and m2._combinations is None
-        # the sparse fold caches each step on its left operand
-        first = combine_all([m1, m2], path="sparse").combined
-        assert first == direct.combined
-        assert combine_all([m1, m2], path="sparse").combined is first
+        # the sparse fold keeps the step on its left operand, and the whole
+        # fold on its first operand under the requested path and the ids
+        first = combine_all([m1, m2], path="sparse")
+        assert first.combined == direct.combined
+        assert first.conflict == 1.0 - (1.0 - direct.conflict)
+        assert combine_all([m1, m2], path="sparse") is first
+        node = m1._combinations[id(m2)]
+        assert node[0] is m2 and node[1] is first and node[2] == 1.0 - direct.conflict
+        assert m1._combinations[("sparse", id(m1), id(m2))] is first
+        # "auto" is a key of its own, answered by the same chain
+        auto = combine_all([m1, m2], path="auto")
+        assert auto is first
+        assert m1._combinations[("auto", id(m1), id(m2))] is first
         # keyed on the right operand's identity: an equal copy is combined anew
-        again = combine_all([m1, simple(AB, ["b"], 0.5)], path="sparse").combined
+        again = combine_all([m1, simple(AB, ["b"], 0.5)], path="sparse")
         assert again is not first
         assert again == first
 
 
-def test_cached_results_freed_without_cycle_collection(monkeypatch):
+class TestFoldMemo:
+    def test_repeated_fold_is_one_lookup(self, monkeypatch):
+        frame = frame_of(3)
+        ms = [simple(frame, ["a"], 0.7), simple(frame, ["a", "b"], 0.6), simple(frame, ["c"], 0.2)]
+        first = combine_all(ms)
+        for name in ("dempster_combine", "_shared_frame", "_prefer_dense"):
+            monkeypatch.setattr(combine, name, _unexpected(name))
+        assert combine_all(ms) is first
+        assert combine_all(tuple(ms)) is first
+
+    def test_prefix_chain_shared_by_longer_fold(self, monkeypatch):
+        frame = frame_of(3)
+        ms = [simple(frame, ["a"], 0.7), simple(frame, ["a", "b"], 0.6), simple(frame, ["c"], 0.2)]
+        prefix = combine_all(ms[:2])
+        calls = []
+        inner = combine.dempster_combine
+        monkeypatch.setattr(combine, "dempster_combine", lambda m1, m2: calls.append(m1) or inner(m1, m2))
+        whole = combine_all(ms)
+        # only the last step is new, and it starts from the prefix's result
+        assert calls == [prefix.combined]
+        step1 = dempster_combine(ms[0], ms[1])
+        step2 = dempster_combine(step1.combined, ms[2])
+        assert whole.conflict == 1.0 - (1.0 - step1.conflict) * (1.0 - step2.conflict)
+
+    def test_fold_started_on_a_step_result_counts_its_own_conflict(self):
+        frame = frame_of(3)
+        ms = [simple(frame, ["a"], 0.7), simple(frame, ["b"], 0.6), simple(frame, ["c"], 0.2)]
+        whole = combine_all(ms, path="sparse")
+        middle = combine_all(ms[:2], path="sparse").combined
+        tail = combine_all([middle, ms[2]], path="sparse")
+        assert tail.combined is whole.combined
+        assert tail.conflict == 1.0 - (1.0 - dempster_combine(middle, ms[2]).conflict)
+        assert tail.conflict != whole.conflict
+        assert combine_all([middle, ms[2]], path="sparse") is tail
+        # and the other way round: the chain begun on the step result
+        other = [simple(frame, ["a"], 0.5), simple(frame, ["b"], 0.4), simple(frame, ["a", "c"], 0.3)]
+        middle = combine_all(other[:2], path="sparse").combined
+        tail = combine_all([middle, other[2]], path="sparse")
+        whole = combine_all(other, path="sparse")
+        assert whole.combined is tail.combined
+        assert_same_fold(whole, fold_reference(other, "sparse"))
+
+    def test_auto_never_answered_by_forced_sparse(self):
+        """A tuple "auto" resolves dense: its forced "sparse" result is kept,
+        but the "auto" call still takes the commonality product and stores
+        nothing."""
+        frame = frame_of(4)
+        rng = np.random.default_rng(5)
+        ms = [random_mass(frame, rng, max_foci=15) for _ in range(4)]
+        assert combine._prefer_dense(ms, frame)
+        sparse = combine_all(ms, path="sparse")
+        memo = ms[0]._combinations = _Watched(ms[0]._combinations)
+        assert memo[("sparse", *map(id, ms))] is sparse
+        memo.touched.clear()
+        auto = combine_all(ms, path="auto")
+        assert auto is not sparse
+        assert_same_fold(auto, fast_combine_via_commonality(ms))
+        assert memo.touched == ["get"]
+        # and the dense result never answers a "sparse" call
+        assert combine_all(ms, path="sparse") is sparse
+
+    def test_commonality_path_never_touches_the_memo(self):
+        ms = [simple(AB, ["a"], 0.6), simple(AB, ["b"], 0.5)]
+        sparse = combine_all(ms, path="sparse")
+        memo = ms[0]._combinations = _Watched(ms[0]._combinations)
+        dense = combine_all(ms, path="commonality")
+        assert dense is not sparse
+        assert memo.touched == []
+
+    def test_transient_operands(self):
+        """Operands dropped after their fold, then new ones allocated in
+        their place: every fold is still that of its own operands."""
+        frame = frame_of(3)
+        base = simple(frame, ["a"], 0.7)
+        for trial in range(200):
+            s = 0.05 + 0.9 * (trial % 17) / 17
+            labels = [["b"], ["a", "c"], ["c"]][trial % 3]
+            others = [simple(frame, labels, s), simple(frame, ["a", "b"], 1.0 - s)]
+            assert_same_fold(combine_all([base, *others]), fold_reference([base, *others]))
+            del others
+        # every id a whole-fold key names is an operand the chain still holds
+        held, chain = {id(base)}, [base]
+        while chain:
+            for key, node in (chain.pop()._combinations or {}).items():
+                if isinstance(key, int):
+                    held.add(id(node[0]))
+                    chain.append(node[1].combined)
+        named = {i for key in base._combinations if not isinstance(key, int) for i in key[1:]}
+        assert len(named) > 200 and named <= held
+
+
+class _Watched(dict):
+    """A fold memo that records every read and write made through it."""
+
+    def __init__(self, *args):
+        super().__init__(*args)
+        self.touched = []
+
+    def get(self, *args):
+        self.touched.append("get")
+        return super().get(*args)
+
+    def setdefault(self, *args):
+        self.touched.append("setdefault")
+        return super().setdefault(*args)
+
+    def __getitem__(self, key):
+        self.touched.append("getitem")
+        return super().__getitem__(key)
+
+    def __setitem__(self, key, value):
+        self.touched.append("setitem")
+        super().__setitem__(key, value)
+
+
+def assert_same_fold(got, expected):
+    """Masses, conflict and singleton plausibilities equal, repr for repr."""
+    assert repr(got.conflict) == repr(expected.conflict)
+    assert {mask: repr(v) for mask, v in got.combined.items()} == {
+        mask: repr(v) for mask, v in expected.combined.items()
+    }
+    assert repr(got.combined.singleton_plausibilities()) == repr(
+        expected.combined.singleton_plausibilities()
+    )
+
+
+@st.composite
+def shared_prefix_calls(draw):
+    """A pool of operands, fold lists that share prefixes of one trunk list,
+    and every (list, path) call twice over, in a shuffled order."""
+    frame = frame_of(draw(st.integers(2, 4)))
+    pool = [draw(masses_on(frame, max_foci=4)) for _ in range(draw(st.integers(2, 4)))]
+    index = st.integers(0, len(pool) - 1)
+    trunk = draw(st.lists(index, min_size=1, max_size=5))
+    tails = draw(st.lists(
+        st.tuples(st.integers(1, len(trunk)), st.lists(index, max_size=2)), min_size=1, max_size=5
+    ))
+    lists = [trunk] + [trunk[:k] + tail for k, tail in tails]
+    calls = [(ops, path) for ops in lists for path in ("auto", "sparse", "commonality")]
+    return pool, draw(st.permutations(calls * 2))
+
+
+@settings(max_examples=200, deadline=None)
+@given(shared_prefix_calls())
+def test_memoized_folds_equal_reference_fold(case):
+    pool, calls = case
+    for ops, path in calls:
+        ms = [pool[i] for i in ops]
+        try:
+            expected = fold_reference(ms, path)
+        except TotalConflictError as exc:
+            with pytest.raises(TotalConflictError) as err:
+                combine_all(ms, path=path)
+            assert err.value.step == exc.step
+            continue
+        assert_same_fold(combine_all(ms, path=path), expected)
+
+
+def _unexpected(name):
+    def fail(*args, **kwargs):
+        raise AssertionError(f"{name} called on a repeated fold")
+    return fail
+
+
+def _stored_results(memo):
+    """Every CombinationResult a fold memo keeps, down its chains of nodes."""
+    found = []
+    for key, value in memo.items():
+        if isinstance(key, int):
+            _, value, _ = value
+            if value.combined._combinations:
+                found += _stored_results(value.combined._combinations)
+        found.append(value)
+    return found
+
+
+def test_cached_results_freed_without_cycle_collection():
     doc, cases, intervals = synthetic_2b()
     bpa = BpaSet.from_dict(doc)
-    refs = []
-    inner = combine.dempster_combine
-
-    def spy(m1, m2):
-        result = inner(m1, m2)
-        refs.append(weakref.ref(result))
-        return result
-
-    monkeypatch.setattr(combine, "dempster_combine", spy)
     gc.collect()
     gc.disable()
     try:
         report = evaluate_set(cases, bpa, intervals)
-        assert refs
+        refs = [
+            weakref.ref(result)
+            for m in bpa.entries.values() if m._combinations
+            for result in _stored_results(m._combinations)
+        ]
+        assert len(refs) > len(bpa.entries)
         assert all(ref() is not None for ref in refs)  # kept by the memo
         del bpa  # the report holds intervals only, never a mass function
         assert all(ref() is None for ref in refs)

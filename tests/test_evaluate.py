@@ -1,3 +1,4 @@
+import functools
 import math
 import sys
 import threading
@@ -341,21 +342,23 @@ def test_report_bytes_equal_on_fresh_and_warm_memo(tmp_path, monkeypatch):
     fresh_path, warm_path = tmp_path / "fresh.json", tmp_path / "warm.json"
     formats.write_report(evaluate_set(cases, BpaSet.from_dict(doc), intervals), fresh_path)
     calls = []
-    inner = combine.dempster_combine
-
-    def spy(m1, m2):
-        calls.append((m1, m2))
-        return inner(m1, m2)
-
-    monkeypatch.setattr(combine, "dempster_combine", spy)
+    for name in ("dempster_combine", "_shared_frame", "_prefer_dense"):
+        inner = getattr(combine, name)
+        monkeypatch.setattr(combine, name, functools.partial(_spy, calls, name, inner))
     warm = BpaSet.from_dict(doc)
     evaluate_set(cases, warm, intervals)
-    assert calls
+    assert {name for name, _ in calls} == {"dempster_combine", "_shared_frame", "_prefer_dense"}
     calls.clear()
     formats.write_report(evaluate_set(cases, warm, intervals), warm_path)
     assert warm_path.read_bytes() == fresh_path.read_bytes()
-    # the warm run finds every step in the fold memo and combines nothing
+    # the warm run finds every whole fold in the memo: one lookup each, no
+    # frame check, no path choice, nothing combined
     assert calls == []
+
+
+def _spy(calls, name, inner, *args):
+    calls.append((name, args))
+    return inner(*args)
 
 
 def test_shared_bpa_set_diagnoses_under_thread_races():

@@ -2,6 +2,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from evidential import formats
 from evidential.belief import Frame, MassFunction
 from evidential.errors import FrameMismatchError
 from evidential.expert import all_modify, is_vacuous, part_modify
@@ -198,3 +199,33 @@ def test_modify_entries_always_one_of_the_inputs(data):
                 or m == exp_entries.get(key)
                 or m == vac
             )
+
+
+@pytest.mark.parametrize("modify", [part_modify, all_modify])
+def test_adopted_entries_share_the_generated_frame(modify, tmp_path):
+    """An expert table read from its own file has a Frame object of its own;
+    every entry of the modified set is on the generated set's, and the
+    written set is byte for byte the one built from entries on that frame."""
+    full = aalb_generated()
+    below = item("AALB", Region.BELOW)
+    # BELOW only in the expert table, so all_modify appends it
+    generated = BpaSet(GROUPS, {k: m for k, m in full.entries.items() if k != below})
+    same_frame = aalb_expert()
+    own_frame = BpaSet.from_dict(same_frame.to_dict())
+    assert own_frame.frame == GROUPS and own_frame.frame is not GROUPS
+    out = modify(generated, own_frame)
+    assert all(m.frame is GROUPS for m in out.entries.values())
+    formats.write_bpa_set(out, tmp_path / "own.json")
+    formats.write_bpa_set(modify(generated, same_frame), tmp_path / "same.json")
+    assert (tmp_path / "own.json").read_bytes() == (tmp_path / "same.json").read_bytes()
+
+
+def test_on_frame():
+    m = MassFunction.from_labels(GROUPS, {("6",): 0.46, ("9",): 0.27, ("13",): 0.27})
+    assert m.on_frame(GROUPS) is m
+    twin = m.on_frame(Frame(GROUPS.labels))
+    assert twin.frame is not GROUPS and twin.frame == GROUPS
+    assert dict(twin.items()) == dict(m.items())
+    assert twin.singleton_plausibilities() == m.singleton_plausibilities()
+    with pytest.raises(FrameMismatchError):
+        m.on_frame(Frame(tuple(reversed(GROUPS.labels))))
