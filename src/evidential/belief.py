@@ -155,8 +155,7 @@ class MassFunction:
     with its labels and mass, and combine.combine_all's sparse fold memo:
     the fold step of this instance, as the left operand, with each right
     operand it has met, and each whole fold that began with this instance.
-    A thread that races another on a first use stores an equal value; the
-    fold memo is made under a lock, so racing folds share one.
+    A thread that races another on a first use stores an equal value.
     """
 
     __slots__ = (
@@ -209,10 +208,10 @@ class MassFunction:
         self._pl = pl
         self._intervals: tuple[BeliefInterval, ...] | None = None
         self._observed: tuple[Mask, tuple[str, ...], float] | None = None
-        # id(right) -> (right, prefix result, 1 - k_step) for each fold step
-        # from here, and (path, *ids) -> result for each whole fold begun
-        # here; see combine.combine_all
-        self._combinations: dict | None = None
+        # id(right) -> (right, step's MassFunction, 1 - k_step) for each fold
+        # step from here, and (path, *ids) -> CombinationResult for each whole
+        # fold begun here; see combine.combine_all
+        self._combinations: dict = {}
 
     def on_frame(self, frame: Frame) -> "MassFunction":
         """This mass function on frame, a Frame equal to its own.

@@ -31,20 +31,20 @@ core), divided by the same surviving mass as the masses. A result's singleton
 intervals then read m({x}) and Pl({x}) without walking its foci; against the
 exact rational fold of k operands each bound is within 2 * k * eps.
 
-dempster_combine is a pure function. combine_all's sparse fold memoizes each
-step on its left operand, and each whole fold on its first operand. A fold's
-operands come from one finite BPA set, so cases that share a prefix of
-matched evidence share the cached results of that prefix (each distinct
-prefix is combined once while the set's mass functions live), and a case
-that repeats an earlier case's evidence costs one dict lookup. The dense
-path keeps no such cache.
+dempster_combine is a pure function. combine_all's sparse fold memoizes in
+the dict each mass function is made with: each step as a node on its left
+operand (the step's combined mass function and its 1 - k), and each whole
+fold as its CombinationResult on its first operand. A fold's operands come
+from one finite BPA set, so cases that share a prefix of matched evidence
+share the nodes of that prefix (each distinct prefix is combined once while
+the set's mass functions live), and a case that repeats an earlier case's
+evidence costs one dict lookup. The dense path keeps no such cache.
 """
 
 from __future__ import annotations
 
 import math
 import operator
-import threading
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
@@ -56,7 +56,6 @@ from .errors import FrameMismatchError, TotalConflictError
 
 _MIN_SURVIVING_MASS = 1e-12  # surviving mass at or below this is total conflict
 _DENSE_NOISE_FLOOR = 1e-15   # Mobius round-off cutoff, relative to 1 - k
-_MEMO_LOCK = threading.Lock()
 
 
 @dataclass(frozen=True)
@@ -139,18 +138,20 @@ def combine_all(ms: Sequence[MassFunction], path: str = "auto") -> CombinationRe
     running product prod(1 - k_step) falls to 1e-12 or below, which is where
     the dense path finds its aggregate surviving mass gone.
 
-    The sparse fold memoizes on its operands. Each step is a node on its
-    left operand, under id(m): (m, the fold's result up to m, 1 - k_step);
-    holding m keeps its id from being reused. A fold of two or more operands
-    is also kept whole on its first operand, under (path, ids of the
-    operands), pointing at its last node's result. That entry needs no
-    references of its own: the chain of nodes hanging off the first operand
-    holds every operand its key names. A repeated fold is one lookup, made
-    before the frames are compared or a path is picked. The "commonality"
-    path never touches the memo, "auto" and "sparse" calls are keyed apart,
-    and a fold that "auto" resolves dense stores nothing. No result refers
-    back to an operand, so the memo is freed with the fold's first operand.
-    Total conflict is not kept.
+    The sparse fold memoizes in its operands' memo dicts. Each step is a
+    node on its left operand, under id(m): (m, the step's combined mass
+    function, 1 - k_step); holding m keeps its id from being reused. The
+    fold multiplies the nodes' 1 - k_step in step order, cached or not, and
+    builds its one CombinationResult at the end, which it keeps on its first
+    operand under (path, ids of the operands). That entry holds no operand:
+    the chain of nodes hanging off the first operand holds every operand
+    its key names. A repeated fold is one lookup, made before the frames are
+    compared or a path is picked. The "commonality" path never touches the
+    memo, "auto" and "sparse" calls are keyed apart, and a fold that "auto"
+    resolves dense stores nothing. Nodes enter by setdefault, so threads
+    racing on one step share one node. No result refers back to an operand,
+    so the memo is freed with the fold's first operand. Total conflict is
+    not kept.
     """
     if path == "commonality":
         return fast_combine_via_commonality(ms)
@@ -163,12 +164,10 @@ def combine_all(ms: Sequence[MassFunction], path: str = "auto") -> CombinationRe
     if len(ms) == 1:  # "auto" never finds one operand dense
         return CombinationResult(first, 0.0)
     folds = first._combinations
-    key = None
-    if folds is not None:
-        key = (path, *map(id, ms))
-        hit = folds.get(key)
-        if hit is not None:
-            return hit
+    key = (path, *map(id, ms))
+    hit = folds.get(key)
+    if hit is not None:
+        return hit
     frame = _shared_frame(ms)
     if path == "auto" and _prefer_dense(ms, frame):
         return fast_combine_via_commonality(ms)
@@ -176,8 +175,6 @@ def combine_all(ms: Sequence[MassFunction], path: str = "auto") -> CombinationRe
     kept = 1.0
     for step, m in enumerate(ms[1:], start=1):
         steps = acc._combinations
-        if steps is None:
-            steps = _memo(acc)
         node = steps.get(id(m))
         if node is None:
             try:
@@ -185,35 +182,16 @@ def combine_all(ms: Sequence[MassFunction], path: str = "auto") -> CombinationRe
             except TotalConflictError:
                 kept = 0.0
             else:  # stored only once the step has succeeded
-                keep = 1.0 - pair.conflict
-                node = steps.setdefault(
-                    id(m), (m, CombinationResult(pair.combined, 1.0 - kept * keep), keep)
-                )
+                node = steps.setdefault(id(m), (m, pair.combined, 1.0 - pair.conflict))
         if node is not None:
             kept *= node[2]
-            acc = node[1].combined
+            acc = node[1]
         if kept <= _MIN_SURVIVING_MASS:
             raise TotalConflictError(
                 f"total conflict while folding operand {step}", conflict=1.0 - kept, step=step
             )
-    result = node[1]
-    if result.conflict != 1.0 - kept:  # first is a step of a chain that began further back
-        result = CombinationResult(acc, 1.0 - kept)
-    first._combinations[key or (path, *map(id, ms))] = result
+    result = folds[key] = CombinationResult(acc, 1.0 - kept)
     return result
-
-
-def _memo(m: MassFunction) -> dict:
-    """m's fold memo, made on first use.
-
-    The memo is made under a lock and nodes enter it by setdefault, so
-    threads that fold the same operands all walk one chain of nodes, and
-    every fold kept on a first operand names only operands its chain holds.
-    """
-    with _MEMO_LOCK:
-        if m._combinations is None:
-            m._combinations = {}
-        return m._combinations
 
 
 def _prefer_dense(ms: Sequence[MassFunction], frame: Frame) -> bool:
@@ -247,7 +225,8 @@ def fast_combine_via_commonality(ms: Sequence[MassFunction]) -> CombinationResul
     are positive and the commonality transform only adds them. Q_i(B) is
     exactly +0.0 for every B that is not a subset of C, so each step of a
     whole-frame inversion that reaches a subset of C from outside it
-    subtracts +0.0, and the result is bit for bit the whole-frame one. An empty core is total conflict with k = prod Q_i(empty set).
+    subtracts +0.0, and the result is bit for bit the whole-frame one. An
+    empty core is total conflict with k = prod Q_i(empty set).
 
     Cost: one O(n * 2^n) transform per distinct operand over its lifetime
     (MassFunction.commonality_vector caches it), plus O(2^c) per operand

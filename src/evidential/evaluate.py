@@ -66,11 +66,13 @@ def diagnose_case(
     tagged with the case id.
 
     Entries are read from the set's evidence index (BpaSet._index), which has
-    decided each entry's vacuity once. combine_all keeps each whole sparse
-    fold on its first operand, so a case whose informative evidence an
-    earlier case already combined gets that combination back for one dict
-    lookup; the combined mass function caches its observed focus and
-    singleton intervals, so the case reuses both too.
+    decided each entry's vacuity once. combine_all keeps each sparse fold
+    step as a node on its left operand and each whole sparse fold, as its
+    one CombinationResult, on its first operand: a case that shares a prefix
+    of informative evidence with an earlier case combines only the rest,
+    and one that repeats it gets that result back for one dict lookup. The
+    combined mass function caches its observed focus and singleton
+    intervals, so the case reuses both too.
     """
     dropped = frozenset(drop_params)
     index = bpa._index

@@ -238,6 +238,18 @@ def fold_reference(ms: list[MassFunction], path: str = "auto") -> CombinationRes
     return CombinationResult(acc, 1.0 - kept)
 
 
+def memo_entries(m: MassFunction):
+    """Every (key, value) of combine_all's fold memo on m and on each step
+    result below it: an int key is a step node (right, result, 1 - k_step),
+    whose result's own memo is walked in turn; a tuple key is a whole fold."""
+    chain = [m]
+    while chain:
+        for key, value in chain.pop()._combinations.items():
+            if isinstance(key, int):
+                chain.append(value[1])
+            yield key, value
+
+
 def method3_reference(frame: Frame, freq, variant: str = M3_DEFAULT_VARIANT) -> MassFunction:
     """extract.method3 as it was before its normalisation was vectorised:
     one Python pass over the 2^n - 1 subset indices per step, with the

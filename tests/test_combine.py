@@ -34,6 +34,7 @@ from helpers import (
     mass_function_lists,
     masses_on,
     max_mass_diff,
+    memo_entries,
     random_mass,
     singleton_intervals_reference,
     synthetic_2b,
@@ -80,7 +81,7 @@ class TestDempsterCombine:
         direct = dempster_combine(m1, m2)
         assert dempster_combine(m1, m2) == direct
         assert dempster_combine(m1, m2).combined is not direct.combined
-        assert m1._combinations is None and m2._combinations is None
+        assert m1._combinations == {} and m2._combinations == {}
         # the sparse fold keeps the step on its left operand, and the whole
         # fold on its first operand under the requested path and the ids
         first = combine_all([m1, m2], path="sparse")
@@ -88,12 +89,15 @@ class TestDempsterCombine:
         assert first.conflict == 1.0 - (1.0 - direct.conflict)
         assert combine_all([m1, m2], path="sparse") is first
         node = m1._combinations[id(m2)]
-        assert node[0] is m2 and node[1] is first and node[2] == 1.0 - direct.conflict
+        assert node[0] is m2 and node[1] is first.combined and node[2] == 1.0 - direct.conflict
         assert m1._combinations[("sparse", id(m1), id(m2))] is first
-        # "auto" is a key of its own, answered by the same chain
+        # "auto" is a key of its own with a result of its own, built on the
+        # same chain
         auto = combine_all([m1, m2], path="auto")
-        assert auto is first
-        assert m1._combinations[("auto", id(m1), id(m2))] is first
+        assert auto is not first and auto == first
+        assert auto.combined is first.combined
+        assert m1._combinations[("auto", id(m1), id(m2))] is auto
+        assert combine_all([m1, m2], path="auto") is auto
         # keyed on the right operand's identity: an equal copy is combined anew
         again = combine_all([m1, simple(AB, ["b"], 0.5)], path="sparse")
         assert again is not first
@@ -181,13 +185,9 @@ class TestFoldMemo:
             assert_same_fold(combine_all([base, *others]), fold_reference([base, *others]))
             del others
         # every id a whole-fold key names is an operand the chain still holds
-        held, chain = {id(base)}, [base]
-        while chain:
-            for key, node in (chain.pop()._combinations or {}).items():
-                if isinstance(key, int):
-                    held.add(id(node[0]))
-                    chain.append(node[1].combined)
         named = {i for key in base._combinations if not isinstance(key, int) for i in key[1:]}
+        held = {id(base)}
+        held |= {id(node[0]) for key, node in memo_entries(base) if isinstance(key, int)}
         assert len(named) > 200 and named <= held
 
 
@@ -264,34 +264,38 @@ def _unexpected(name):
     return fail
 
 
-def _stored_results(memo):
-    """Every CombinationResult a fold memo keeps, down its chains of nodes."""
-    found = []
-    for key, value in memo.items():
-        if isinstance(key, int):
-            _, value, _ = value
-            if value.combined._combinations:
-                found += _stored_results(value.combined._combinations)
-        found.append(value)
-    return found
+def _stored_results(m):
+    """Every CombinationResult m's fold memo keeps, down its chains of nodes."""
+    return [value for key, value in memo_entries(m) if not isinstance(key, int)]
+
+
+def _live_mass_functions():
+    return sum(isinstance(o, MassFunction) for o in gc.get_objects())
 
 
 def test_cached_results_freed_without_cycle_collection():
     doc, cases, intervals = synthetic_2b()
-    bpa = BpaSet.from_dict(doc)
     gc.collect()
     gc.disable()
     try:
+        before = _live_mass_functions()
+        bpa = BpaSet.from_dict(doc)
         report = evaluate_set(cases, bpa, intervals)
         refs = [
             weakref.ref(result)
-            for m in bpa.entries.values() if m._combinations
-            for result in _stored_results(m._combinations)
+            for m in bpa.entries.values()
+            for result in _stored_results(m)
         ]
+        steps = sum(
+            isinstance(key, int) for m in bpa.entries.values() for key, _ in memo_entries(m)
+        )
         assert len(refs) > len(bpa.entries)
         assert all(ref() is not None for ref in refs)  # kept by the memo
+        assert _live_mass_functions() >= before + len(bpa.entries) + steps
         del bpa  # the report holds intervals only, never a mass function
         assert all(ref() is None for ref in refs)
+        # so is every step's mass function, which no weakref can watch
+        assert _live_mass_functions() == before
     finally:
         gc.enable()
     assert report.evaluated == len(cases)

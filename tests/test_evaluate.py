@@ -384,6 +384,21 @@ def test_shared_bpa_set_diagnoses_under_thread_races():
         sys.setswitchinterval(interval)
     assert not any(t.is_alive() for t in threads)
     assert all(report == expected for report in reports)
+    # each whole fold kept on an entry ends the chain of nodes that its key's
+    # ids spell out from that entry, so each id it names is held there
+    folds = 0
+    for m in shared.entries.values():
+        for key, result in m._combinations.items():
+            if isinstance(key, int):
+                continue
+            assert key[1] == id(m)
+            acc = m
+            for i in key[2:]:
+                right, acc, _ = acc._combinations[i]
+                assert id(right) == i
+            assert result.combined is acc
+            folds += 1
+    assert folds
 
 
 class TestMcNemar:
