@@ -11,11 +11,11 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
-from typing import Sequence
+from typing import Iterable, NoReturn
 
 import numpy as np
 
-from .records import CaseRecord
+from .records import CaseRecord, value_columns
 
 
 class Group(str, Enum):
@@ -44,26 +44,25 @@ def check_threshold(threshold: float) -> None:
 
 
 def pearson_matrix(
-    cases: Sequence[CaseRecord], params: Sequence[str], min_pairs: int
+    cases: Iterable[CaseRecord], params: Iterable[str], min_pairs: int
 ) -> CorrelationMatrix:
     """Pairwise-complete Pearson coefficients over the given parameters.
 
     A pair gets no entry when fewer than min_pairs cases carry both values,
     or when either column is constant on the shared cases. Insufficient data
-    just leaves the pair undefined; a non-finite measured value is an error.
+    just leaves the pair undefined; a non-finite measured value is an error,
+    and the first one in case order, then parameter order, is named. cases
+    is read once, into one float64 column per parameter
+    (records.value_columns), whose finiteness is checked column-wise.
     """
     check_min_pairs(min_pairs)
     params = tuple(params)
     if not params:
         raise ValueError("no parameters to correlate")
-    for case in cases:
-        for p in params:
-            if not math.isfinite(case.values.get(p, 0.0)):
-                raise ValueError(f"case {case.case_id}: non-finite value {case.values[p]} for {p}")
-    columns = {
-        p: np.array([case.values.get(p, math.nan) for case in cases], dtype=float)
-        for p in params
-    }
+    cases = list(cases)
+    columns = value_columns(cases, params)
+    if columns is None:
+        _refuse_first_non_finite(cases, params)
     coefficients: dict[tuple[str, str], float] = {}
     for i, a in enumerate(params):
         for b in params[i + 1:]:
@@ -80,6 +79,15 @@ def pearson_matrix(
             key = (a, b) if a < b else (b, a)
             coefficients[key] = max(-1.0, min(1.0, r))
     return CorrelationMatrix(params, coefficients)
+
+
+def _refuse_first_non_finite(cases: list[CaseRecord], params: tuple[str, ...]) -> NoReturn:
+    """Raise for the first non-finite value in case order, then parameter order."""
+    for case in cases:
+        for p in params:
+            if not math.isfinite(case.values.get(p, 0.0)):
+                raise ValueError(f"case {case.case_id}: non-finite value {case.values[p]} for {p}")
+    raise AssertionError("no measured value is non-finite")
 
 
 @dataclass(frozen=True)

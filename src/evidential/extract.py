@@ -25,20 +25,25 @@ import math
 from dataclasses import dataclass, field
 from functools import cached_property
 from types import MappingProxyType
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Mapping, NoReturn, Sequence
 
 import numpy as np
 
 from . import lattice
 from .belief import Frame, Mask, MassFunction, is_vacuous
 from .errors import DataFormatError, FrameMismatchError
-from .records import CaseRecord, EvidenceItemId, ReferenceIntervals, Region
+from .records import CaseRecord, EvidenceItemId, ReferenceIntervals, Region, value_columns
 
 # --m3-variant name -> method 3's (normalisation, whole-frame score)
 _M3_PARAMS = {"global-one": ("global", 1.0), "global-zero": ("global", 0.0),
               "size-one": ("size", 1.0), "size-zero": ("size", 0.0)}
 M3_VARIANTS = tuple(_M3_PARAMS)
 M3_DEFAULT_VARIANT = "global-one"
+# Most focal elements, summed over entries, that a method-3 BPA set may have.
+# A focus costs about 1 KB of peak memory through extraction, the BPA-set
+# JSON and its reload (577k foci on 14 outcomes peak near 620 MB), so the
+# budget keeps a pipeline near 1 GB.
+M3_MAX_FOCI = 1 << 20
 
 
 @dataclass(frozen=True)
@@ -77,6 +82,9 @@ class FrequencyTable:
         object.__setattr__(self, "entries", MappingProxyType(dict(self.entries)))
 
 
+_REGION_OF_CODE = (Region.BELOW, Region.WITHIN, Region.ABOVE)
+
+
 def build_frequency_table(
     cases: Iterable[CaseRecord],
     intervals: ReferenceIntervals,
@@ -85,19 +93,47 @@ def build_frequency_table(
     """Count outcomes per (parameter, region) item over all measured values.
 
     Missing measurements contribute to no item. Every measured parameter must
-    have a reference interval and every case outcome must be a frame label.
+    have a reference interval, every measured value must be finite and every
+    case outcome must be a frame label; the first case that breaks a rule
+    raises its ValueError, as ReferenceIntervals.region and Frame.index word
+    it. cases may be any iterable and is read once.
+
+    Counting is column-wise: each measured parameter's values form one
+    float64 column (records.value_columns), whose region codes
+    (x >= low) + (x > high), 0 below, 1 within and 2 above, are counted
+    against the outcome codes by one np.bincount. Counts are integers, so
+    the table does not depend on the order of counting.
     """
-    counts: dict[EvidenceItemId, list[int]] = {}
+    cases = list(cases)
+    outcome_of = frame._index
+    outcomes = [outcome_of.get(case.outcome, -1) for case in cases]
+    params = set().union(*(case.values for case in cases))
+    columns = value_columns(cases, params)
+    if columns is None or -1 in outcomes or not params <= intervals.bounds.keys():
+        _refuse_first(cases, intervals, frame)
+    outcome_codes = np.array(outcomes, dtype=np.intp)
+    n = frame.n
+    entries = {}
+    for param, x in columns.items():
+        low, high = intervals.bounds[param]
+        measured = ~np.isnan(x)
+        x = x[measured]
+        codes = ((x >= low).astype(np.intp) + (x > high)) * n + outcome_codes[measured]
+        rows = np.bincount(codes, minlength=3 * n).reshape(3, n).tolist()
+        for region, row in zip(_REGION_OF_CODE, rows):
+            if any(row):
+                entries[EvidenceItemId(param, region)] = FrequencyEntry(tuple(row))
+    return FrequencyTable(frame, dict(sorted(entries.items())))
+
+
+def _refuse_first(cases: list[CaseRecord], intervals: ReferenceIntervals, frame: Frame) -> NoReturn:
+    """Raise the error of the first case, in case order, that has an unknown
+    outcome, a parameter without an interval or a non-finite value."""
     for case in cases:
-        outcome_idx = frame.index(case.outcome)
+        frame.index(case.outcome)
         for param, value in case.values.items():
-            item = EvidenceItemId(param, intervals.region(param, value))
-            row = counts.get(item)
-            if row is None:
-                row = counts[item] = [0] * frame.n
-            row[outcome_idx] += 1
-    entries = {item: FrequencyEntry(tuple(row)) for item, row in sorted(counts.items())}
-    return FrequencyTable(frame, entries)
+            intervals.region(param, value)
+    raise AssertionError("no case breaks a rule")
 
 
 def _proportions(freq: Sequence[float], n: int) -> list[float]:
@@ -348,13 +384,21 @@ def extract_bpas(
 
     Entries whose support falls below min_support are suppressed (the default
     floor of 1 keeps everything). Only a method-3 BPA set records m3_variant.
+    Method 3 may give an entry every non-empty subset as a focus, so a set
+    whose bound, entries * (2^n - 1), exceeds M3_MAX_FOCI is refused with
+    ValueError before any entry is built.
     """
     check_method(method, m3_variant)
     check_min_support(min_support)
-    entries = {
-        item: _BUILDERS[method](table.frame, entry.freq, m3_variant)
-        for item, entry in sorted(table.entries.items())
-        if entry.support >= min_support
-    }
+    kept = [(item, entry) for item, entry in sorted(table.entries.items())
+            if entry.support >= min_support]
+    if method == "3":
+        per_entry = (1 << table.frame.n) - 1
+        if len(kept) * per_entry > M3_MAX_FOCI:
+            raise ValueError(
+                f"method 3 over {len(kept)} entries on a {table.frame.n}-outcome frame may "
+                f"build {len(kept) * per_entry} focal elements, over the budget of {M3_MAX_FOCI}"
+            )
+    entries = {item: _BUILDERS[method](table.frame, entry.freq, m3_variant) for item, entry in kept}
     variant = m3_variant if method == "3" else ""
     return BpaSet(table.frame, entries, method=method, variant=variant)

@@ -49,8 +49,12 @@ def load_json(path) -> dict:
 def parse_case_table(path) -> tuple[list[str], list[CaseRecord]]:
     """Cases CSV: header case_id,outcome,<param...>; empty cells are missing.
 
-    Duplicate case ids are kept but warned about, each repeat taking the
-    first free suffix #2, #3, ... so downstream pairing stays unambiguous.
+    A row's values are read by one dict comprehension over its non-empty
+    cells. Only a row where that raises (a whitespace-only or non-numeric
+    cell) is read again cell by cell, which skips the blank cell or names
+    the bad one. Duplicate case ids are kept but warned about, each repeat
+    taking the first free suffix #2, #3, ... so downstream pairing stays
+    unambiguous.
     Parameter names must read back from a removal list as written: not
     empty, not padded with whitespace, on one line and not starting with #.
     """
@@ -69,7 +73,8 @@ def parse_case_table(path) -> tuple[list[str], list[CaseRecord]]:
         cases: list[CaseRecord] = []
         given: dict[str, int] = {}  # id given so far -> first suffix a repeat may try
         for lineno, row in enumerate(reader, start=2):
-            if not row or all(not cell.strip() for cell in row):
+            # a row with a case id is not blank, whatever its other cells hold
+            if not row or (not row[0].strip() and all(not cell.strip() for cell in row)):
                 continue
             if len(row) != len(header):
                 raise DataFormatError(
@@ -78,17 +83,11 @@ def parse_case_table(path) -> tuple[list[str], list[CaseRecord]]:
             case_id, outcome = row[0], row[1]
             if not case_id or not outcome:
                 raise DataFormatError(f"{path}:{lineno}: case_id and outcome must be non-empty")
-            values: dict[str, float] = {}
-            for param, cell in zip(params, row[2:]):
-                cell = cell.strip()
-                if not cell:
-                    continue
-                try:
-                    values[param] = float(cell)
-                except ValueError:
-                    raise DataFormatError(
-                        f"{path}:{lineno}: non-numeric value {cell!r} for {param}"
-                    ) from None
+            try:
+                # float strips the whitespace str.strip does, so a padded cell reads alike
+                values = {param: float(cell) for param, cell in zip(params, row[2:]) if cell}
+            except ValueError:
+                values = _row_values(path, lineno, params, row)
             if case_id in given:
                 k = given[case_id]
                 while f"{case_id}#{k}" in given:
@@ -97,8 +96,25 @@ def parse_case_table(path) -> tuple[list[str], list[CaseRecord]]:
                 warnings.warn(f"{path}: duplicate case_id {case_id!r}, keeping as {case_id}#{k}")
                 case_id = f"{case_id}#{k}"
             given[case_id] = 2
-            cases.append(CaseRecord(case_id, outcome, values))
+            cases.append(CaseRecord._of_floats(case_id, outcome, values))
     return params, cases
+
+
+def _row_values(path, lineno: int, params: list[str], row: list[str]) -> dict[str, float]:
+    """One row's values cell by cell: a whitespace-only cell is missing, and
+    the first non-numeric cell is a DataFormatError naming its line."""
+    values: dict[str, float] = {}
+    for param, cell in zip(params, row[2:]):
+        cell = cell.strip()
+        if not cell:
+            continue
+        try:
+            values[param] = float(cell)
+        except ValueError:
+            raise DataFormatError(
+                f"{path}:{lineno}: non-numeric value {cell!r} for {param}"
+            ) from None
+    return values
 
 
 def parse_cases(path) -> list[CaseRecord]:

@@ -67,5 +67,5 @@ def generate_cases(config: SynthConfig) -> tuple[list[CaseRecord], ReferenceInte
                 continue
             mean = centers[j] + offsets[outcome_idx, j] * config.separation * widths[j]
             values[p] = round(float(rng.normal(mean, widths[j] / 3.0)), 4)
-        cases.append(CaseRecord(f"c{i + 1:04d}", labels[outcome_idx], values))
+        cases.append(CaseRecord._of_floats(f"c{i + 1:04d}", labels[outcome_idx], values))
     return cases, ReferenceIntervals(bounds)

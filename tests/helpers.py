@@ -7,8 +7,10 @@ they check.
 
 from __future__ import annotations
 
+import csv
 import math
 import operator
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -22,12 +24,15 @@ from evidential.combine import (
     dempster_combine,
     fast_combine_via_commonality,
 )
-from evidential.errors import NoEvidenceError, TotalConflictError
+from evidential.correlate import CorrelationMatrix
+from evidential.errors import DataFormatError, NoEvidenceError, TotalConflictError
 from evidential.evaluate import DiagnosisResult, observed_set
 from evidential.extract import (
     _M3_PARAMS,
     M3_DEFAULT_VARIANT,
     BpaSet,
+    FrequencyEntry,
+    FrequencyTable,
     _proportions,
     build_frequency_table,
     check_method,
@@ -331,6 +336,102 @@ def diagnose_case_reference(
         intervals=combined.singleton_intervals(),
         evidence_used=tuple(item for item, _ in informative),
     )
+
+
+def parse_case_table_reference(path) -> tuple[list[str], list[CaseRecord]]:
+    """formats.parse_case_table as it was before its one-comprehension rows:
+    every cell stripped and converted on its own, every record built through
+    the converting CaseRecord constructor."""
+    with open(path, newline="") as fh:
+        reader = csv.reader(fh)
+        header = next(reader, None)
+        if header is None or len(header) < 2 or header[0] != "case_id" or header[1] != "outcome":
+            raise DataFormatError(f"{path}: header must start with case_id,outcome")
+        params = header[2:]
+        if len(set(params)) != len(params):
+            raise DataFormatError(f"{path}: duplicate parameter column")
+        for param in params:
+            if param != param.strip() or param.splitlines() != [param] or param.startswith("#"):
+                raise DataFormatError(f"{path}: parameter name {param!r} must be non-empty, "
+                                      "unpadded, on one line and not start with #")
+        cases: list[CaseRecord] = []
+        given: dict[str, int] = {}
+        for lineno, row in enumerate(reader, start=2):
+            if not row or all(not cell.strip() for cell in row):
+                continue
+            if len(row) != len(header):
+                raise DataFormatError(
+                    f"{path}:{lineno}: expected {len(header)} cells, got {len(row)}"
+                )
+            case_id, outcome = row[0], row[1]
+            if not case_id or not outcome:
+                raise DataFormatError(f"{path}:{lineno}: case_id and outcome must be non-empty")
+            values: dict[str, float] = {}
+            for param, cell in zip(params, row[2:]):
+                cell = cell.strip()
+                if not cell:
+                    continue
+                try:
+                    values[param] = float(cell)
+                except ValueError:
+                    raise DataFormatError(
+                        f"{path}:{lineno}: non-numeric value {cell!r} for {param}"
+                    ) from None
+            if case_id in given:
+                k = given[case_id]
+                while f"{case_id}#{k}" in given:
+                    k += 1
+                given[case_id] = k + 1
+                warnings.warn(f"{path}: duplicate case_id {case_id!r}, keeping as {case_id}#{k}")
+                case_id = f"{case_id}#{k}"
+            given[case_id] = 2
+            cases.append(CaseRecord(case_id, outcome, values))
+    return params, cases
+
+
+def frequency_table_reference(cases, intervals: ReferenceIntervals, frame: Frame) -> FrequencyTable:
+    """extract.build_frequency_table as a row loop: one region lookup and one
+    count per measured value, failing on the first offender in case order."""
+    counts: dict[EvidenceItemId, list[int]] = {}
+    for case in cases:
+        outcome_idx = frame.index(case.outcome)
+        for param, value in case.values.items():
+            item = EvidenceItemId(param, intervals.region(param, value))
+            counts.setdefault(item, [0] * frame.n)[outcome_idx] += 1
+    return FrequencyTable(
+        frame, {item: FrequencyEntry(tuple(row)) for item, row in sorted(counts.items())}
+    )
+
+
+def pearson_matrix_reference(cases, params, min_pairs: int) -> CorrelationMatrix:
+    """correlate.pearson_matrix as it was before its columns were shared
+    with the frequency table: the finiteness check as a row loop, and each
+    column built case by case."""
+    cases, params = list(cases), tuple(params)
+    if not params:
+        raise ValueError("no parameters to correlate")
+    for case in cases:
+        for p in params:
+            if not math.isfinite(case.values.get(p, 0.0)):
+                raise ValueError(f"case {case.case_id}: non-finite value {case.values[p]} for {p}")
+    columns = {
+        p: np.array([case.values.get(p, math.nan) for case in cases], dtype=float)
+        for p in params
+    }
+    coefficients: dict[tuple[str, str], float] = {}
+    for i, a in enumerate(params):
+        for b in params[i + 1:]:
+            xa, xb = columns[a], columns[b]
+            shared = ~np.isnan(xa) & ~np.isnan(xb)
+            if int(shared.sum()) < min_pairs:
+                continue
+            x, y = (np.ldexp(v, -np.frexp(np.abs(v).max())[1]) for v in (xa[shared], xb[shared]))
+            sx, sy = float(x.std()), float(y.std())
+            if sx == 0.0 or sy == 0.0:
+                continue
+            r = float(((x - x.mean()) * (y - y.mean())).mean()) / (sx * sy)
+            coefficients[(a, b) if a < b else (b, a)] = max(-1.0, min(1.0, r))
+    return CorrelationMatrix(params, coefficients)
 
 
 def pearson_reference(x: list[float], y: list[float]) -> float | None:

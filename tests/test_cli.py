@@ -5,7 +5,7 @@ from dataclasses import fields, replace
 import pytest
 
 from evidential.cli import build_parser, main
-from evidential import formats
+from evidential import extract, formats
 from evidential.evaluate import MatchCategory
 from evidential.pipeline import PipelineConfig, run_pipeline
 from evidential.synth import SynthConfig
@@ -330,6 +330,24 @@ class TestExitCodes:
         ) == 2
         assert "masses sum to nan" in capsys.readouterr().err
         assert not (tmp_path / "r.json").exists()
+
+    def test_data_error_method3_over_budget(self, tmp_path, capsys, monkeypatch):
+        # 16 outcomes, so 65 535 foci per entry; 8 parameters give at least 17 entries
+        data = tmp_path / "data"
+        assert run("synth", "--outcomes", "16", "--params", "8", "--cases", "160",
+                   "--seed", "1", "--out-dir", str(data)) == 0
+
+        def unbuilt(frame, freq, variant):
+            raise AssertionError("a method-3 entry was built")
+
+        monkeypatch.setitem(extract._BUILDERS, "3", unbuilt)
+        capsys.readouterr()
+        out = tmp_path / "bpa.json"
+        assert run("extract", "--cases", str(data / "cases.csv"),
+                   "--intervals", str(data / "intervals.csv"),
+                   "--method", "3", "--out", str(out)) == 2
+        assert "over the budget of 1048576" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_pipeline_error_total_conflict(self, tmp_path):
         frame = ["a", "b"]

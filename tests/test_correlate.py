@@ -15,7 +15,7 @@ from evidential.correlate import (
 )
 from evidential.records import CaseRecord
 
-from helpers import pearson_reference
+from helpers import pearson_matrix_reference, pearson_reference
 
 
 def cases_from_columns(columns: dict[str, list[float | None]]) -> list[CaseRecord]:
@@ -102,6 +102,44 @@ class TestPearson:
         cases = cases_from_columns({"A": xs, "B": [2 * x for x in xs[:-1]] + [bad]})
         with pytest.raises(ValueError, match="^case c11: non-finite value .* for B$"):
             pearson_matrix(cases, ["A", "B"], min_pairs=10)
+
+
+def _matrix_or_error(pearson, cases, params):
+    try:
+        matrix = pearson(cases, params, min_pairs=2)
+    except ValueError as exc:
+        return str(exc)
+    return matrix.params, list(matrix.coefficients.items())
+
+
+_CELLS = st.sampled_from([None, 0.0, -0.0, 1.0, -1.0, 2.5, 1e200, -1e-300]) | st.floats(-10, 10)
+
+
+class TestPearsonColumns:
+    """pearson_matrix against the row-loop reference in helpers."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(rows=st.lists(st.tuples(_CELLS, _CELLS, _CELLS | st.sampled_from([math.nan, math.inf])),
+                         max_size=25),
+           params=st.sampled_from([["A", "B"], ["A", "B", "C"], ["B", "A", "D"], ["C", "A"]]),
+           as_iterator=st.booleans())
+    def test_matches_the_row_loop(self, rows, params, as_iterator):
+        """C may hold a non-finite value, which only a params list naming C
+        refuses; D is never measured."""
+        cases = cases_from_columns({p: [row[i] for row in rows] for i, p in enumerate("ABC")})
+        source = iter(cases) if as_iterator else cases
+        assert (_matrix_or_error(pearson_matrix, source, params)
+                == _matrix_or_error(pearson_matrix_reference, cases, params))
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_first_non_finite_in_case_then_parameter_order(self, bad):
+        cases = cases_from_columns({
+            "A": [1.0, 2.0, bad, 4.0], "B": [1.0, bad, 3.0, bad], "C": [bad, 1.0, 2.0, 3.0],
+        })
+        with pytest.raises(ValueError, match=f"^case c1: non-finite value {bad} for B$"):
+            pearson_matrix(cases, ["A", "B"], min_pairs=2)
+        with pytest.raises(ValueError, match=f"^case c0: non-finite value {bad} for C$"):
+            pearson_matrix(iter(cases), ["B", "C", "A"], min_pairs=2)
 
 
 class TestBuildGraph:

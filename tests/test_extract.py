@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from evidential import extract
 from evidential.belief import Frame, MassFunction
 from evidential.extract import (
     M3_DEFAULT_VARIANT,
@@ -21,7 +22,14 @@ from evidential.extract import (
 from evidential.pipeline import PipelineConfig
 from evidential.records import CaseRecord, EvidenceItemId, ReferenceIntervals, Region
 
-from helpers import assert_valid_mass, frame_of, frequency_vectors, is_consonant, method3_reference
+from helpers import (
+    assert_valid_mass,
+    frame_of,
+    frequency_table_reference,
+    frequency_vectors,
+    is_consonant,
+    method3_reference,
+)
 
 ABC = Frame(("a", "b", "c"))
 INTERVALS = ReferenceIntervals({"AALB": (10.0, 20.0)})
@@ -29,6 +37,40 @@ INTERVALS = ReferenceIntervals({"AALB": (10.0, 20.0)})
 
 def case(cid, outcome, aalb):
     return CaseRecord(cid, outcome, {} if aalb is None else {"AALB": aalb})
+
+
+_INTERVALS = ReferenceIntervals({"A": (0.0, 1.0), "B": (-1.0, 0.0), "C": (2.0, 3.0)})
+_VALUES = st.sampled_from([0.0, -0.0, 1.0, -1.0, 0.5, 2.0, 3.0, 1.0000000000000002,
+                           -1.0000000000000002, 5e-324]) | st.floats(-4.0, 4.0)
+_BAD_VALUES = st.sampled_from([math.nan, math.inf, -math.inf])
+
+
+def _cases(bad: bool):
+    """CaseRecords over A and B (C has an interval but is never measured);
+    with bad, some outcomes are unknown, some values non-finite and some
+    parameters lack an interval."""
+    outcomes = ["a", "b", "c", "z"] if bad else ["a", "b", "c"]
+    params = ["A", "B", "XYZ"] if bad else ["A", "B"]
+    values = _VALUES | _BAD_VALUES if bad else _VALUES
+    return st.builds(
+        CaseRecord, st.sampled_from(["c1", "c2"]), st.sampled_from(outcomes),
+        st.dictionaries(st.sampled_from(params), values, max_size=3),
+    )
+
+
+def _entries(table):
+    """A table's items in order, with their counts, all as plain values."""
+    rows = [((item.parameter, item.region.value), entry.counts)
+            for item, entry in table.entries.items()]
+    assert all(type(count) is int for _, counts in rows for count in counts)
+    return rows
+
+
+def _outcome(build, cases):
+    try:
+        return _entries(build(cases, _INTERVALS, ABC))
+    except ValueError as exc:
+        return str(exc)
 
 
 class TestFrequencyTable:
@@ -79,6 +121,56 @@ class TestFrequencyTable:
     def test_entry_rejects_empty(self):
         with pytest.raises(ValueError):
             FrequencyEntry((0, 0, 0))
+
+    def test_boundaries_signed_zeros_and_unmeasured_parameter(self):
+        # B's high is 0.0, so -0.0 and 0.0 are both within; C is never measured
+        intervals = ReferenceIntervals({"A": (0.0, 1.0), "B": (-1.0, 0.0), "C": (2.0, 3.0)})
+        cases = [
+            CaseRecord("c1", "a", {"A": 0.0, "B": -0.0}),
+            CaseRecord("c2", "b", {"A": -0.0, "B": 0.0}),
+            CaseRecord("c3", "c", {"A": 1.0, "B": -1.0}),
+            CaseRecord("c4", "a", {"A": 1.0000000000000002, "B": -1.0000000000000002}),
+            CaseRecord("c5", "b", {"A": -5e-324}),
+            CaseRecord("c6", "c", {}),
+        ]
+        table = build_frequency_table(iter(cases), intervals, ABC)
+        assert _entries(table) == _entries(frequency_table_reference(cases, intervals, ABC))
+        assert _entries(table) == [
+            (("A", "above"), (1, 0, 0)), (("A", "below"), (0, 1, 0)),
+            (("A", "within"), (1, 1, 1)), (("B", "below"), (1, 0, 0)),
+            (("B", "within"), (1, 1, 1)),
+        ]
+
+    @settings(max_examples=200, deadline=None)
+    @given(cases=st.lists(_cases(bad=False), max_size=30), as_iterator=st.booleans())
+    def test_matches_the_row_loop(self, cases, as_iterator):
+        table = build_frequency_table(iter(cases) if as_iterator else cases, _INTERVALS, ABC)
+        assert _entries(table) == _entries(frequency_table_reference(cases, _INTERVALS, ABC))
+        assert table == frequency_table_reference(cases, _INTERVALS, ABC)
+
+    @settings(max_examples=300, deadline=None)
+    @given(cases=st.lists(_cases(bad=True), max_size=12))
+    def test_first_refusal_in_case_order(self, cases):
+        """An unknown outcome, a parameter without an interval and a
+        non-finite value are refused with the row loop's message, naming the
+        first offender in case order."""
+        assert _outcome(build_frequency_table, cases) == _outcome(frequency_table_reference, cases)
+
+    @pytest.mark.parametrize("bad, message", [
+        (math.nan, "cannot discretize non-finite value nan"),
+        (math.inf, "cannot discretize non-finite value inf"),
+        (-math.inf, "cannot discretize non-finite value -inf"),
+    ])
+    def test_bad_parameter_before_a_later_unknown_outcome(self, bad, message):
+        cases = [case("c1", "a", 5.0), case("c2", "b", bad), case("c3", "z", 5.0)]
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            build_frequency_table(cases, INTERVALS, ABC)
+        cases = [case("c1", "a", 5.0), CaseRecord("c2", "b", {"XYZ": 1.0}), case("c3", "z", bad)]
+        with pytest.raises(ValueError, match="^no reference interval for parameter 'XYZ'$"):
+            build_frequency_table(iter(cases), INTERVALS, ABC)
+        cases = [case("c1", "z", bad), CaseRecord("c2", "b", {"XYZ": 1.0})]
+        with pytest.raises(ValueError, match="^unknown outcome label 'z'$"):
+            build_frequency_table(cases, INTERVALS, ABC)
 
 
 class TestMethod1:
@@ -376,6 +468,50 @@ class TestExtractBpas:
         doc = extract_bpas(self.build_table(), "2b").to_dict()
         assert doc["method"] == "2b"
         assert all("class" in item and "parameter" in item for item in doc["items"])
+
+
+class TestMethod3Budget:
+    """The bound entries * (2^n - 1) is checked before any entry is built.
+    Builders are replaced by a spy, so these tests allocate no lattice."""
+
+    @staticmethod
+    def table(n: int, entries: int) -> FrequencyTable:
+        frame = Frame(tuple(f"g{i:02d}" for i in range(n)))
+        return FrequencyTable(frame, {
+            EvidenceItemId(f"P{j:03d}", Region.WITHIN): FrequencyEntry((1,) * n)
+            for j in range(entries)
+        })
+
+    @pytest.fixture
+    def built(self, monkeypatch):
+        calls = []
+        monkeypatch.setitem(extract._BUILDERS, "3", lambda frame, freq, variant: calls.append(
+            len(freq)) or MassFunction.vacuous(frame))
+        return calls
+
+    def test_over_budget_refused_before_building(self, built):
+        # 17 entries on 16 outcomes: 17 * 65 535 = 1 114 095 foci
+        with pytest.raises(ValueError, match=r"^method 3 over 17 entries on a 16-outcome frame "
+                                             r"may build 1114095 focal elements, over the "
+                                             r"budget of 1048576$"):
+            extract_bpas(self.table(16, 17), "3")
+        assert built == []
+
+    def test_bound_counts_only_entries_with_enough_support(self, built):
+        table = self.table(16, 17)
+        assert len(extract_bpas(table, "3", min_support=17).entries) == 0
+        assert built == []
+        assert len(extract_bpas(table, "1").entries) == 17  # other methods have no budget
+
+    def test_bound_at_budget_is_built(self, built):
+        # 16 entries on 16 outcomes: 16 * 65 535 = 1 048 560 foci, within 2^20
+        assert extract.M3_MAX_FOCI == 1 << 20
+        assert len(extract_bpas(self.table(16, 16), "3").entries) == 16
+        assert built == [16] * 16
+
+    def test_benchmark_sized_set_is_within_budget(self):
+        # 14 outcomes, 12 parameters in 3 regions: 36 * 16 383 = 589 788 foci
+        assert 36 * ((1 << 14) - 1) <= extract.M3_MAX_FOCI
 
 
 class TestMethodTables:

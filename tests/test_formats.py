@@ -1,6 +1,8 @@
+import csv
 import json
 import math
 import re
+import warnings
 
 import pytest
 from hypothesis import HealthCheck, example, given, settings
@@ -26,8 +28,48 @@ from evidential.records import (
     Region,
     discretize,
 )
+from evidential.synth import SynthConfig, generate_cases, parameter_names
+
+from helpers import parse_case_table_reference
 
 ABC = Frame(("a", "b", "c"))
+
+_CELLS = st.sampled_from([
+    "", " ", "\t ", "1.5", " 2.5 ", "\t-3\t", "-0.0", "0", "nan", " nan ", "NaN", "inf",
+    "-inf", "1_0", "_1", "1e3", "abc", "1 2", "\u00a07\u00a0", "\u2003",
+]) | st.floats().map(repr)
+_IDS = st.sampled_from(["x", "x#2", "x#3", "c1", "a,b", "line1\nline2", " ", ""])
+_OUTCOMES = st.sampled_from(["a", "b", "", " "])
+
+
+@st.composite
+def _case_tables(draw):
+    """(params, rows) of a cases CSV: mostly full-width rows, some rows of
+    blank cells only, some of the wrong width."""
+    params = ["P1", "P2", "P3"][: draw(st.integers(0, 3))]
+    rows = []
+    for _ in range(draw(st.integers(0, 6))):
+        kind = draw(st.sampled_from(["case", "case", "case", "blank", "width"]))
+        if kind == "blank":
+            rows.append(draw(st.lists(st.sampled_from(["", " ", "\t"]), min_size=1, max_size=5)))
+        else:
+            count = len(params) if kind == "case" else draw(st.integers(0, 5))
+            rows.append([draw(_IDS), draw(_OUTCOMES), *(draw(_CELLS) for _ in range(count))])
+    return params, rows
+
+
+def _parsed(parse, path):
+    """What a parser gives for path, with every float as its repr, and the
+    warnings it raised."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        try:
+            params, cases = parse(path)
+            result = (params, [(c.case_id, c.outcome, [(p, repr(v)) for p, v in c.values.items()])
+                               for c in cases])
+        except DataFormatError as exc:
+            result = ("DataFormatError", str(exc))
+    return result, [str(w.message) for w in caught]
 
 
 class TestDiscretize:
@@ -114,6 +156,58 @@ class TestCases:
         path = tmp_path / "cases.csv"
         formats.write_case_table(cases, path, ["P1", "P2"])
         assert formats.parse_cases(path) == cases
+
+    def test_record_is_slotted(self, tmp_path):
+        path = tmp_path / "cases.csv"
+        path.write_text("case_id,outcome,P1,P2\nc1,a,1.5,\n")
+        (case,) = formats.parse_cases(path)
+        assert not hasattr(case, "__dict__")
+        assert case == CaseRecord("c1", "a", {"P1": 1.5})
+
+    @settings(max_examples=300, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(table=_case_tables())
+    @example(table=(["P1", "P2"], [[" x ", "a", " 1.5 ", " "], ["y", "b", "\t", "\t2\t"]]))
+    @example(table=(["P1"], [["", " "], ["x", "a", "nan"], ["y", "a", "inf"], ["z", "a", "1_0"]]))
+    @example(table=(["P1"], [["a,b", "a", "1"], ["line1\nline2", "b", ""], ["c", "a", "1e3"]]))
+    @example(table=(["P1"], [["x", "a", "1"], ["x#2", "a", "2"], ["x", "a", "3"]]))
+    @example(table=(["P1"], [["x", "a", "1"], ["y", "a", "1", "2"]]))
+    @example(table=(["P1", "P2"], [["x", "a", "1", "abc"]]))
+    def test_lean_parse_matches_the_per_cell_parse(self, tmp_path, table):
+        """Same params, records (value key order and float bits included),
+        warnings and DataFormatError messages as the per-cell parser."""
+        params, rows = table
+        path = tmp_path / "cases.csv"
+        with open(path, "w", newline="") as fh:
+            writer = csv.writer(fh)
+            writer.writerow(["case_id", "outcome", *params])
+            writer.writerows(rows)
+        assert _parsed(formats.parse_case_table, path) == _parsed(parse_case_table_reference, path)
+
+    def test_generated_table_never_reads_cell_by_cell(self, tmp_path, monkeypatch):
+        cases, _ = generate_cases(SynthConfig(params=6, cases=400, seed=5, missing_rate=0.2))
+        path = tmp_path / "cases.csv"
+        formats.write_case_table(cases, path, parameter_names(6))
+        per_cell = []
+        row_values = formats._row_values
+
+        def spy(path, lineno, params, row):
+            per_cell.append(lineno)
+            return row_values(path, lineno, params, row)
+
+        monkeypatch.setattr(formats, "_row_values", spy)
+        assert formats.parse_cases(path) == cases
+        assert sum(len(case.values) < 6 for case in cases) > 100  # many rows with an empty cell
+        assert per_cell == []
+
+        rows = list(csv.reader(path.read_text().splitlines()))
+        rows[6][3] = "  "  # line 7 of the file
+        with open(path, "w", newline="") as fh:
+            csv.writer(fh).writerows(rows)
+        params, parsed = formats.parse_case_table(path)
+        assert per_cell == [7]
+        assert (params, parsed) == parse_case_table_reference(path)
+        assert params[1] not in parsed[5].values
 
 
 class TestBpaSetFiles:
