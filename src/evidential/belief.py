@@ -85,9 +85,13 @@ class Frame:
         return 1 << self.index(label)
 
     def mask_of(self, labels: Iterable[str]) -> Mask:
+        index = self._index
         mask = 0
-        for label in labels:
-            mask |= self.bit(label)
+        try:
+            for label in labels:
+                mask |= 1 << index[label]
+        except KeyError:
+            raise ValueError(f"unknown outcome label {label!r}") from None
         return mask
 
     def labels_of(self, mask: Mask) -> tuple[str, ...]:
@@ -356,10 +360,14 @@ class MassFunction:
         """Commonality of every subset, indexed by mask (cached, read-only).
 
         Filled on first use by one superset-sum transform of the mass vector
-        and kept for the instance's lifetime: 8 * 2^n bytes. Two threads
-        racing on the first call both store equal arrays, so sharing an
-        instance stays safe. Raises ValueError, before allocating anything,
-        for frames past lattice.DENSE_MAX_OUTCOMES.
+        gathered at the 2^k subsets of the core (k outcomes), then scattered
+        back into the 2^n vector, whose other entries stay 0.0, and kept for
+        the instance's lifetime: O(k * 2^k) once, 8 * 2^n bytes. Every focus
+        is a subset of the core, so the vector is bit for bit the
+        whole-lattice transform (see lattice). Two threads racing on the
+        first call both store equal arrays, so sharing an instance stays
+        safe. Raises ValueError, before allocating anything, for frames past
+        lattice.DENSE_MAX_OUTCOMES.
         """
         q = self._q
         if q is None:
@@ -369,9 +377,16 @@ class MassFunction:
                     f"dense commonality vectors support at most "
                     f"{lattice.DENSE_MAX_OUTCOMES} outcomes, got {n}"
                 )
+            focal = self._focal
             q = np.zeros(1 << n)
-            q[list(self._focal)] = list(self._focal.values())
-            lattice.superset_sum(q, n)
+            q[np.fromiter(focal, np.intp, len(focal))] = np.fromiter(
+                focal.values(), np.float64, len(focal)
+            )
+            core = self.core()
+            masks = lattice.core_subsets(core)
+            on_core = q[masks]
+            lattice.superset_sum(on_core, core.bit_count())
+            q[masks] = on_core
             q.setflags(write=False)
             self._q = q
         return q

@@ -7,11 +7,12 @@ product back to masses. Every focal set of a combination lies inside the
 common core C, the intersection of the operands' cores (a core is the union
 of an operand's focal sets, which MassFunction.core caches as an int mask),
 so the dense path works on the 2^c subsets of C alone, where c = |C|. Each
-mass function caches its commonality vector, so an operand costs one
-O(n * 2^n) transform over its lifetime; each combination then costs O(2^c)
-per operand plus one O(c * 2^c) inversion, regardless of focal count. That
-wins once operands carry many foci (dense all-subsets assignments in
-particular) or recur across many cases.
+mass function caches its commonality vector, computed on the 2^k subsets of
+its own core (k outcomes), so an operand costs one O(k * 2^k) transform over
+its lifetime, while the cached vector still takes 8 * 2^n bytes; each
+combination then costs O(2^c) per operand plus one O(c * 2^c) inversion,
+regardless of focal count. That wins once operands carry many foci (dense
+all-subsets assignments in particular) or recur across many cases.
 
 Both paths share one rule (Shafer 1976, ch. 3), applied by _renormalised.
 The conflict k is the product mass that falls on the empty set. The surviving
@@ -228,9 +229,10 @@ def fast_combine_via_commonality(ms: Sequence[MassFunction]) -> CombinationResul
     subtracts +0.0, and the result is bit for bit the whole-frame one. An
     empty core is total conflict with k = prod Q_i(empty set).
 
-    Cost: one O(n * 2^n) transform per distinct operand over its lifetime
-    (MassFunction.commonality_vector caches it), plus O(2^c) per operand
-    and one O(c * 2^c) inversion per call, where c = |C|.
+    Cost: one O(k * 2^k) transform per distinct operand over its lifetime,
+    on the k outcomes of that operand's own core (cached by
+    MassFunction.commonality_vector in 8 * 2^n bytes), plus O(2^c) per
+    operand and one O(c * 2^c) inversion per call, where c = |C|.
 
     The conflict is clamped at 0: the inversion's round-off can leave the
     empty-set entry a few ulps below 0 where the true conflict is 0.
@@ -251,7 +253,7 @@ def fast_combine_via_commonality(ms: Sequence[MassFunction]) -> CombinationResul
     c = len(core_bits)
     # masks[j] is the frame mask of the j-th subset of the core; None when the
     # core is the whole frame and the index is the mask itself.
-    masks = None if c == frame.n else _core_subsets(core_bits)
+    masks = None if c == frame.n else lattice.core_subsets(core)
     product = np.ones(1 << c)
     for q in commonalities:
         product *= q if masks is None else q[masks]
@@ -267,15 +269,3 @@ def fast_combine_via_commonality(ms: Sequence[MassFunction]) -> CombinationResul
     kept = np.flatnonzero(product[1:] > floor) + 1  # index 0 is the empty set
     keys = kept if masks is None else masks[kept]
     return _renormalised(frame, dict(zip(keys.tolist(), product[kept].tolist())), conflict, pl)
-
-
-def _core_subsets(core_bits: list[int]) -> np.ndarray:
-    """Frame masks of all subsets of a core, given its bits in ascending order.
-
-    Entry j deposits the bits of j onto the core's bits, so the masks ascend
-    with j and bit k of j stands for core_bits[k].
-    """
-    masks = np.zeros(1 << len(core_bits), dtype=np.intp)
-    for k, bit in enumerate(core_bits):
-        masks[1 << k: 2 << k] = masks[: 1 << k] | bit
-    return masks

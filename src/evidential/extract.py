@@ -96,7 +96,8 @@ def build_frequency_table(
     have a reference interval, every measured value must be finite and every
     case outcome must be a frame label; the first case that breaks a rule
     raises its ValueError, as ReferenceIntervals.region and Frame.index word
-    it. cases may be any iterable and is read once.
+    it, or as "case <id>: non-finite value <v> for <param>". cases may be
+    any iterable and is read once.
 
     Counting is column-wise: each measured parameter's values form one
     float64 column (records.value_columns), whose region codes
@@ -128,10 +129,14 @@ def build_frequency_table(
 
 def _refuse_first(cases: list[CaseRecord], intervals: ReferenceIntervals, frame: Frame) -> NoReturn:
     """Raise the error of the first case, in case order, that has an unknown
-    outcome, a parameter without an interval or a non-finite value."""
+    outcome, a parameter without an interval or a non-finite value; a
+    non-finite value is named by case and parameter, as the Pearson screen
+    names it."""
     for case in cases:
         frame.index(case.outcome)
         for param, value in case.values.items():
+            if param in intervals.bounds and not math.isfinite(value):
+                raise ValueError(f"case {case.case_id}: non-finite value {value} for {param}")
             intervals.region(param, value)
     raise AssertionError("no case breaks a rule")
 

@@ -396,6 +396,8 @@ def frequency_table_reference(cases, intervals: ReferenceIntervals, frame: Frame
     for case in cases:
         outcome_idx = frame.index(case.outcome)
         for param, value in case.values.items():
+            if param in intervals.bounds and not math.isfinite(value):
+                raise ValueError(f"case {case.case_id}: non-finite value {value} for {param}")
             item = EvidenceItemId(param, intervals.region(param, value))
             counts.setdefault(item, [0] * frame.n)[outcome_idx] += 1
     return FrequencyTable(

@@ -12,7 +12,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from evidential.belief import BeliefInterval, Frame, MassFunction, clip_interval
-from evidential import combine
+from evidential import combine, lattice
 from evidential.combine import combine_all
 from evidential.errors import (
     EmptySetMassError,
@@ -82,6 +82,13 @@ class TestFrame:
     def test_unknown_label(self):
         with pytest.raises(ValueError, match="unknown outcome"):
             ABC.bit("z")
+
+    def test_mask_of_unknown_label(self):
+        assert ABC.mask_of(iter(["c", "a", "c"])) == 0b101
+        assert ABC.mask_of([]) == 0
+        with pytest.raises(ValueError, match="^unknown outcome label 'z'$") as err:
+            ABC.mask_of(["a", "z", "y"])
+        assert err.value.__suppress_context__
 
     def test_foreign_mask_rejected(self):
         with pytest.raises(FrameMismatchError):
@@ -346,6 +353,73 @@ def test_commonality_vector_filled_once_under_thread_races():
         for writeable, q in out:
             assert not writeable
             assert np.array_equal(q, expected)
+
+
+@st.composite
+def masses_with_core(draw, full_core: bool):
+    """A mass function whose core is a drawn mask: the whole frame, or a
+    strict subset of it. The core itself is one focus; the other foci are
+    subsets of it."""
+    n = draw(st.integers(2, 10))
+    frame = frame_of(n)
+    core = frame.full_mask if full_core else draw(st.integers(1, frame.full_mask - 1))
+    bits = [1 << i for i in range(n) if core >> i & 1]
+    subsets = st.integers(1, (1 << len(bits)) - 1).map(
+        lambda j: sum(bit for k, bit in enumerate(bits) if j >> k & 1)
+    )
+    foci = draw(st.lists(subsets, max_size=6, unique=True).map(lambda fs: {core, *fs}))
+    weights = draw(st.lists(st.floats(0.01, 1.0), min_size=len(foci), max_size=len(foci)))
+    total = math.fsum(weights)
+    m = MassFunction(frame, {f: w / total for f, w in zip(sorted(foci), weights)})
+    assert m.core() == core
+    return m
+
+
+@pytest.mark.parametrize("full_core", [False, True])
+@settings(max_examples=150)
+@given(data=st.data())
+def test_commonality_vector_is_the_whole_frame_transform(full_core, data):
+    """Transforming on the core's lattice gives the whole-frame transform's
+    bytes: every entry, including the +0.0 ones outside the core."""
+    m = data.draw(masses_with_core(full_core))
+    n = m.frame.n
+    whole = np.zeros(1 << n)
+    for mask, value in m.items():
+        whole[mask] = value
+    lattice.superset_sum(whole, n)
+    q = m.commonality_vector()
+    assert q.shape == (1 << n,)
+    assert q.tobytes() == whole.tobytes()
+
+
+def test_commonality_vector_transforms_the_core_only(monkeypatch):
+    calls = []
+    transform = lattice.superset_sum
+
+    def spy(arr, n):
+        calls.append((len(arr), n))
+        transform(arr, n)
+
+    monkeypatch.setattr(lattice, "superset_sum", spy)
+    frame = frame_of(10)
+    m = MassFunction(frame, {0b1000000010: 0.5, 0b1001000010: 0.3, 0b0000000010: 0.2})
+    assert len(m.commonality_vector()) == 1 << 10
+    full = MassFunction(frame, {0b1: 0.5, frame.full_mask: 0.5})
+    full.commonality_vector()
+    assert calls == [(1 << 3, 3), (1 << 10, 10)]
+
+
+def test_commonality_vector_refuses_a_small_core_on_an_oversized_frame(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("allocated before the size check")
+
+    m = MassFunction(Frame(tuple(f"x{i}" for i in range(30))), {1 << 17: 1.0})
+    assert m.core().bit_count() == 1
+    monkeypatch.setattr(lattice, "core_subsets", refuse)
+    monkeypatch.setattr(np, "zeros", refuse)
+    monkeypatch.setattr(np, "fromiter", refuse)
+    with pytest.raises(ValueError, match="at most 20 outcomes, got 30"):
+        m.commonality_vector()
 
 
 EPS = 2.0**-52

@@ -447,6 +447,14 @@ class TestBothViewsAgree:
             "--out-dir", str(tmp_path / "pipe"),
         )
         assert code == 2
+        capsys.readouterr()
+        code = run(
+            "pipeline", "--train", str(train), "--test", str(dataset / "test.csv"),
+            "--intervals", str(dataset / "intervals.csv"), "--out-dir", str(tmp_path / "plain"),
+        )
+        assert code == 2
+        assert (f"stage 'frequency' failed: case {row[0]}: non-finite value {float(bad)} "
+                f"for {header[2]}") in capsys.readouterr().err
 
     def test_expert_table_on_another_frame(self, dataset, tmp_path, capsys):
         expert = tmp_path / "expert.json"

@@ -837,6 +837,15 @@ def test_lattice_transforms_bit_exact_against_reference(name):
         assert np.array_equal(arr, expected), (name, n)
 
 
+@pytest.mark.parametrize("core", [0, 0b1, 0b1011010, 0b1111, 0b100000000000001])
+def test_core_subsets_lists_every_subset_in_ascending_order(core):
+    masks = lattice.core_subsets(core)
+    assert masks.dtype == np.intp
+    assert masks.tolist() == [mask for mask in range(core + 1) if mask & ~core == 0]
+    bits = [1 << i for i in range(core.bit_length()) if core >> i & 1]
+    assert [masks[1 << k] for k in range(len(bits))] == bits
+
+
 def test_commonality_vectors_computed_once_per_operand(monkeypatch):
     calls = []
     transform = lattice.superset_sum

@@ -157,10 +157,10 @@ class TestFrequencyTable:
         assert _outcome(build_frequency_table, cases) == _outcome(frequency_table_reference, cases)
 
     @pytest.mark.parametrize("bad, message", [
-        (math.nan, "cannot discretize non-finite value nan"),
-        (math.inf, "cannot discretize non-finite value inf"),
-        (-math.inf, "cannot discretize non-finite value -inf"),
-    ])
+        (math.nan, "case c2: non-finite value nan for AALB"),
+        (math.inf, "case c2: non-finite value inf for AALB"),
+        (-math.inf, "case c2: non-finite value -inf for AALB"),
+    ], ids=["nan", "inf", "-inf"])
     def test_bad_parameter_before_a_later_unknown_outcome(self, bad, message):
         cases = [case("c1", "a", 5.0), case("c2", "b", bad), case("c3", "z", 5.0)]
         with pytest.raises(ValueError, match=f"^{message}$"):
